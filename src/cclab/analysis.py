@@ -354,9 +354,7 @@ def render_report(report: AnalysisReport) -> str:
         lines.append("%s: %d%s" % (title, cyc.cycle_count,
                                    " (center flag set)" if cyc.center_flag else ""))
         for cycle in cyc.cycles:
-            lines.append("  r = %.12g, period = %.12g, %s [%s]"
-                         % (cycle.radius, cycle.period, cycle.stability,
-                            cycle.source))
+            lines.append("  %s [%s]" % (cycle.summary(), cycle.source))
         for note in cyc.notes:
             lines.append("  note: %s" % note)
 

@@ -132,8 +132,7 @@ def _cmd_cycles(args) -> int:
               % (report.cycle_count,
                  " (center flag set)" if report.center_flag else ""))
         for cycle in report.cycles:
-            print("  r = %.12g, period = %.12g, %s"
-                  % (cycle.radius, cycle.period, cycle.stability))
+            print("  " + cycle.summary())
         for note in report.notes:
             print("  note: %s" % note)
     else:
@@ -143,8 +142,7 @@ def _cmd_cycles(args) -> int:
           % (numeric.cycle_count,
              " (center flag set)" if numeric.center_flag else ""))
     for cycle in numeric.cycles:
-        print("  r = %.12g, period = %.12g, %s"
-              % (cycle.radius, cycle.period, cycle.stability))
+        print("  " + cycle.summary())
     for note in numeric.notes:
         print("  note: %s" % note)
     return 0
@@ -170,7 +168,7 @@ def _cmd_hilbert(args) -> int:
         n_star = log_bound_crossover(a, b, c)
         print("crossover n = %d" % n_star)
         print("the logarithmic envelope exceeds the quadratic for every "
-              "n >= %d (stable under precision doubling)" % n_star)
+              "n >= %d (certified by interval arithmetic)" % n_star)
     return 0
 
 

@@ -172,8 +172,13 @@ def _adaptive_steps(
             h = min(h, remaining)
             if h < 1e-14 * max(1.0, abs(t)):
                 raise DivergenceError(t, (x, y))
-            nx, ny, ex, ey = _rkf45_step(deriv, x, y, h)
-            if not (math.isfinite(nx) and math.isfinite(ny)):
+            try:
+                nx, ny, ex, ey = _rkf45_step(deriv, x, y, h)
+                finite = math.isfinite(nx) and math.isfinite(ny)
+            except OverflowError:
+                # the compiled field's float ** raises where * gives inf
+                finite = False
+            if not finite:
                 h *= 0.25
                 rejected += 1
                 continue
@@ -339,11 +344,17 @@ class Cycle:
     """One detected limit cycle."""
 
     radius: float
-    period: float
+    period: float | None    # None when no return around the cycle was timed
     stability: str
     source: str
     radius_interval: RootInterval | None = None
     note: str = ""
+
+    def summary(self) -> str:
+        """One line for text reports: radius, period and stability."""
+        period = "unknown" if self.period is None else "%.12g" % self.period
+        return "r = %.12g, period = %s, %s" % (self.radius, period,
+                                               self.stability)
 
 
 @dataclass(frozen=True)
@@ -704,7 +715,7 @@ def _bisect_bracket(
 ) -> Cycle | None:
     """Shrink one sign-change bracket to a cycle radius."""
     lo, hi = left.r, right.r
-    period = math.nan
+    period = None
     for cell in (left, right):
         if cell.kind == _RETURN:
             period = cell.return_time
@@ -726,6 +737,16 @@ def _bisect_bracket(
         else:
             hi = mid
     r_star = 0.5 * (lo + hi)
+    note = ""
+    if period is None:
+        # no refinement step returned (every trial escaped or was captured),
+        # so time one return on the cycle itself
+        cell = _evaluate_cell(system, r_star, **opts)
+        if cell.kind == _RETURN:
+            period = cell.return_time
+        else:
+            note = "period unknown: the refined radius did not return (%s)" % (
+                cell.note)
     stability = UNSTABLE if s_left < 0 else STABLE
     return Cycle(radius=r_star, period=period, stability=stability,
-                 source=NUMERIC_POINCARE)
+                 source=NUMERIC_POINCARE, note=note)

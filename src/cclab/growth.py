@@ -8,13 +8,15 @@ integer for every k >= 2 and grows like 4^k * k.  Since the claimed bound
 at degree 2^k - 1 grows only like 8 * 4^k, the construction must
 eventually exceed it.  This module computes both sequences in exact
 rational arithmetic and finds the first k where the contradiction
-appears, plus a numeric crossover routine for comparing the logarithmic
-lower envelope (n+2)^2 * log2(n+2) / 2 against arbitrary quadratics.
+appears.  It also finds where the logarithmic lower envelope
+(n+2)^2 * log2(n+2) / 2 overtakes an arbitrary quadratic for good, and
+certifies that point: the envelope minus the quadratic is concave and then
+convex, so a few mpmath.iv interval enclosures of it and its first two
+derivatives prove the sign at every integer, with no walk over n.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,47 +139,148 @@ def _working_bits(bits: int | None) -> int:
     return _DEFAULT_BITS
 
 
-def _last_crossing(a: Fraction, b: Fraction, c: Fraction, bits: int) -> int:
-    """Largest n with (n+2)^2*log2(n+2)/2 <= a*n^2 + b*n + c, plus one.
+class _Undecided(Exception):
+    """An enclosure straddled 0, or an integer outgrew the working precision."""
 
-    Returns 0 when the envelope already dominates at every n >= 0.  The
-    scan stops once the margin is provably permanent: past the point
-    where the envelope's second difference exceeds 2a the difference
-    envelope-minus-quadratic is convex, so being positive and
-    non-decreasing there means it stays positive forever.  When that
-    convexity point is absurdly far out (huge a) a doubling margin past
-    the last observed crossing is used instead.
+
+def _h(ctx, a: Fraction, b: Fraction, c: Fraction, n: int, order: int):
+    """The order-th derivative (0, 1 or 2) of h at the integer n >= 0.
+
+    h(x) = (x+2)^2 log2(x+2)/2 - (a x^2 + b x + c).  ctx is mpmath.mp for an
+    estimate or mpmath.iv for a rigorous enclosure; the quadratic's part is
+    exact in rationals and rounded once.
     """
-    with mpmath.workprec(bits):
-        two_ln2 = 2 * mpmath.ln(2)
-        af = mpmath.mpf(a.numerator) / a.denominator
-        bf = mpmath.mpf(b.numerator) / b.denominator
-        cf = mpmath.mpf(c.numerator) / c.denominator
+    u = ctx.mpf(n + 2)
+    log2u = ctx.log(u) / ctx.ln2
+    if order == 0:
+        envelope, poly = u * u * log2u / 2, a * n * n + b * n + c
+    elif order == 1:
+        envelope, poly = u * (log2u + 1 / (2 * ctx.ln2)), 2 * a * n + b
+    else:
+        envelope, poly = log2u + 3 / (2 * ctx.ln2), 2 * a
+    return envelope - ctx.mpf(poly.numerator) / poly.denominator
 
-        # ln(n+2) > 2a*ln2 - 3/2 makes the envelope's second derivative
-        # exceed the quadratic's.
-        exponent = 2 * float(a) * math.log(2) - 1.5
-        convex_from = math.exp(exponent) - 2 if exponent < 16 else float("inf")
-        use_convexity = convex_from <= 2 ** 22
 
-        last_fail = -1
-        prev_h = None
-        n = 0
-        while True:
-            envelope = (n + 2) ** 2 * mpmath.ln(n + 2) / two_ln2
-            h = envelope - (af * n * n + bf * n + cf)
-            if h <= 0:
-                last_fail = n
-            if h > 0 and prev_h is not None and h >= prev_h:
-                if use_convexity:
-                    if n > convex_from:
-                        return last_fail + 1
-                elif n > max(2 * (last_fail + 1), 4096):
-                    return last_fail + 1
-            elif not use_convexity and h > 0 and n > max(4 * (last_fail + 1), 1 << 21):
-                return last_fail + 1
-            prev_h = h
-            n += 1
+def _positive(a: Fraction, b: Fraction, c: Fraction, n: int, order: int) -> bool:
+    """Certified sign test h^(order)(n) > 0.
+
+    When n+2 is a power of two, h(n) is rational and may be exactly 0, which
+    no enclosure can decide, so it is evaluated exactly.  Every other value
+    tested here is nonzero (log2 of a non-power of two is irrational, and e
+    is transcendental), so raising the precision eventually decides it.
+    """
+    if order == 0 and (n + 2) & (n + 1) == 0:
+        envelope = Fraction((n + 2) ** 2 * ((n + 2).bit_length() - 1), 2)
+        return envelope > a * n * n + b * n + c
+    value = _h(mpmath.iv, a, b, c, n, order)
+    if value.a > 0:
+        return True
+    if value.b <= 0:
+        return False
+    raise _Undecided
+
+
+def _first_positive(test, lo: int, guess: int) -> int:
+    """Smallest integer n >= lo with test(n), searching outward from guess.
+
+    test must be false then true on the integers >= lo, and true from some
+    point on.  The search gallops away from guess and then bisects, so a
+    good guess costs a handful of tests and a poor one O(log distance).
+    """
+    good = max(lo, guess)
+    step = 1
+    if test(good):
+        bad = good - 1
+        while bad >= lo and test(bad):
+            good, step = bad, 2 * step
+            bad = max(lo - 1, good - step)
+    else:
+        bad, good = good, good + 1
+        while not test(good):
+            bad, step = good, 2 * step
+            good = bad + step
+    while good - bad > 1:
+        mid = (good + bad) // 2
+        if test(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _newton(a: Fraction, b: Fraction, c: Fraction, n: int, order: int, bits: int) -> int:
+    """Integer Newton iterate toward a zero of h^(order), starting at n.
+
+    Steps are truncated toward zero, so an iterate never passes the zero when
+    the iteration approaches it monotonically: from the right on a convex
+    increasing stretch, from the left on a concave increasing one.
+    """
+    for _ in range(64):
+        if n.bit_length() > bits:
+            raise _Undecided
+        slope = _h(mpmath.mp, a, b, c, n, order + 1)
+        if slope <= 0:
+            break
+        step = int(_h(mpmath.mp, a, b, c, n, order) / slope)
+        if step == 0:
+            break
+        n = max(0, n - step)
+    return n
+
+
+def _right_of_zero(a: Fraction, b: Fraction, c: Fraction, n: int, order: int, bits: int) -> int:
+    """An integer >= n where h^(order) is estimated positive, by doubling."""
+    while _h(mpmath.mp, a, b, c, n, order) <= 0:
+        n = 2 * n + 2
+        if n.bit_length() > bits:
+            raise _Undecided
+    return n
+
+
+def _certified_crossing(a: Fraction, b: Fraction, c: Fraction, bits: int) -> int:
+    """The crossover, every sign certified at the given precision.
+
+    h'' increases, so with p the first integer where h'' > 0, h is concave
+    on [0, p-1] and convex on [p, oo).  h' increases on the convex part; with
+    q the first integer >= p where h' > 0, h decreases on [p, q-1] and
+    increases on [q, oo).  Then:
+
+    * if h(q) <= 0 the answer N is the first integer >= q with h(N) > 0;
+    * else if q > p and h(q-1) <= 0 it is q;
+    * else h > 0 at every integer >= p, and on the concave part the
+      integers where h > 0 form a run ending at p-1 (a concave function is
+      positive between two points where it is positive), whose first
+      element is the answer.
+
+    Each search is seeded by a Newton estimate in mpmath and settled with
+    certified tests, raising _Undecided when an enclosure straddles 0.  The
+    caller sets both mpmath contexts to the given precision.
+    """
+    def test(order):
+        return lambda n: _positive(a, b, c, n, order)
+
+    # h''(x) = 0 at x = 2^(2a) e^(-3/2) - 2
+    two_a = 2 * mpmath.mpf(a.numerator) / a.denominator
+    inflection = mpmath.power(2, two_a) * mpmath.exp(-1.5) - 2
+    if mpmath.mag(inflection) > bits:
+        raise _Undecided
+    p = _first_positive(test(2), 0, int(mpmath.floor(inflection)) + 1)
+
+    q = p
+    if not _positive(a, b, c, p, 1):
+        start = _right_of_zero(a, b, c, p, 1, bits)
+        q = _first_positive(test(1), p, _newton(a, b, c, start, 1, bits))
+    if not _positive(a, b, c, q, 0):
+        start = _right_of_zero(a, b, c, q, 0, bits)
+        return _first_positive(test(0), q, _newton(a, b, c, start, 0, bits))
+    if q > p and not _positive(a, b, c, q - 1, 0):
+        return q
+
+    if p == 0 or not _positive(a, b, c, p - 1, 0):
+        return p
+    if _positive(a, b, c, 0, 0):
+        return 0
+    return _first_positive(test(0), 0, _newton(a, b, c, 0, 0, bits))
 
 
 def log_bound_crossover(a, b, c, *, bits: int | None = None) -> int:
@@ -186,26 +289,34 @@ def log_bound_crossover(a, b, c, *, bits: int | None = None) -> int:
 
     The quadratic must open upward or be linear (a >= 0); coefficients
     may be any rationals.  Returns 0 when the logarithmic envelope
-    dominates from the start.  The comparison is floating point by
-    necessity (the envelope involves a logarithm), so the result is
-    recomputed at doubled precision until two consecutive precisions
-    agree; the starting precision is 80 bits unless overridden by the
-    bits argument or the CCLAB_PRECISION_BITS environment variable.
+    dominates from the start.  The answer is certified: the difference
+    h(x) = envelope - quadratic is concave and then convex, and the signs
+    of h, h' and h'' that pin the last integer with h <= 0 are proved with
+    mpmath.iv interval enclosures (h is evaluated exactly where n+2 is a
+    power of two, the only places it can vanish).  An enclosure that
+    straddles 0 doubles the precision, which starts at 80 bits unless
+    overridden by the bits argument or the CCLAB_PRECISION_BITS
+    environment variable; past 1280 bits ArithmeticError is raised.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a < 0:
         raise ValueError("quadratic coefficient must be nonnegative, got %s" % a)
-    start = _working_bits(bits)
-    result = _last_crossing(a, b, c, start)
-    current = start
-    while current < _MAX_BITS:
-        doubled = _last_crossing(a, b, c, current * 2)
-        if doubled == result:
-            return result
-        result = doubled
-        current *= 2
+    current = _working_bits(bits)
+    saved = mpmath.iv.prec
+    try:
+        while True:
+            mpmath.iv.prec = current
+            try:
+                with mpmath.workprec(current):
+                    return _certified_crossing(a, b, c, current)
+            except _Undecided:
+                if current >= _MAX_BITS:
+                    break
+                current = min(2 * current, _MAX_BITS)
+    finally:
+        mpmath.iv.prec = saved
     raise ArithmeticError(
-        "crossover for %s*n^2 + %s*n + %s failed to stabilise below %d bits"
+        "crossover for %s*n^2 + %s*n + %s could not be certified below %d bits"
         % (a, b, c, _MAX_BITS)
     )
 

@@ -166,3 +166,13 @@ def test_render_report_mentions_the_essentials(analyses):
     assert "equilibri" in text.lower()
     assert "cycle" in text.lower()
     assert "criterion" in text.lower() or "verdict" in text.lower()
+
+
+def test_report_with_an_untimed_cycle_period_renders():
+    system = parse_system("vars: x y\n"
+                          "dx = -y + x*(x^2 + y^2 - 5)\n"
+                          "dy = x + y*(x^2 + y^2 - 5)\n")
+    report = analyze(system)
+    text = dumps(report_dict(report))
+    assert '"period":null' in text.replace(" ", "")
+    assert "period = unknown" in render_report(report)

@@ -173,6 +173,7 @@ def test_hilbert_crossover(capsys):
     code, out, _ = run(capsys, "hilbert", "--crossover", "8", "0", "0")
     assert code == 0
     assert "crossover n = 65490" in out
+    assert "(certified by interval arithmetic)" in out
 
 
 def test_hilbert_flags_are_mutually_exclusive(capsys):

@@ -260,6 +260,30 @@ def test_scan_argument_validation(catalogue):
         find_cycles_numeric(catalogue["s1"].system, (0.25, 4.0), 1)
 
 
+def test_scan_survives_float_overflow_in_the_field():
+    """Degree 7: far-out trial steps overflow float ** before the 1e12
+    coordinate guard fires; they must shrink the step, not abort the scan."""
+    system = rigid("(x^2 + y^2 - 1)*(x^2 + y^2 - 2)*(x^2 + y^2 - 3)")
+    report = find_cycles_numeric(system, (0.25, 4.0), 16)
+    assert [c.stability for c in report.cycles] == [UNSTABLE, STABLE, UNSTABLE]
+    for cycle, sq in zip(report.cycles, (1, 2, 3)):
+        assert abs(cycle.radius - math.sqrt(sq)) < 1e-6
+
+
+def test_scan_period_unknown_when_no_return_is_timed():
+    """Radius^2 = 5: the cycle's multiplier is e^(20*pi), so every grid cell
+    and bisection midpoint escapes or is captured before returning, and so
+    does the refined radius.  The period is then None, never NaN."""
+    report = find_cycles_numeric(rigid("x^2 + y^2 - 5"), (0.25, 4.0), 16)
+    assert report.cycle_count == 1
+    cycle = report.cycles[0]
+    assert abs(cycle.radius - math.sqrt(5)) < 1e-6
+    assert cycle.stability == UNSTABLE
+    assert cycle.period is None
+    assert cycle.note.startswith("period unknown")
+    assert "period = unknown" in cycle.summary()
+
+
 def test_exact_and_numeric_radii_agree(catalogue):
     for key in ("s1", "s1a"):
         system = catalogue[key].system

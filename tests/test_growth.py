@@ -129,6 +129,9 @@ def test_crossover_goldens():
     assert log_bound_crossover(8, -20, 12) == 65462
     assert log_bound_crossover(0, 0, 0) == 0
     assert log_bound_crossover(1, 1, 1) == 0
+    # the crossing lies where h is still concave
+    assert log_bound_crossover(3, -10, 20) == 2
+    assert log_bound_crossover(10, 0, 0) == 1048519
 
 
 def test_crossover_accepts_rationals():
@@ -165,3 +168,66 @@ def test_crossover_boundary_with_independent_precision():
     # and the envelope stays above the quadratic from the crossover onward
     for n in (n_star + 1, n_star + 100, 10 ** 6):
         assert envelope(n) > 8 * n ** 2
+
+
+def _independent_crossover(a, b, c, limit: int) -> int:
+    """Last n < limit with envelope <= quadratic, plus one, by a 300-bit scan
+    (exact where n+2 is a power of two)."""
+    last = -1
+    for n in range(limit):
+        quad = Fraction(a) * n * n + Fraction(b) * n + Fraction(c)
+        m = n + 2
+        if m & (m - 1) == 0:
+            above = Fraction(m * m * (m.bit_length() - 1), 2) > quad
+        else:
+            with mp.workprec(300):
+                above = (mp.mpf(m) ** 2 * mp.log(m, 2) / 2
+                         > mp.mpf(quad.numerator) / quad.denominator)
+        if not above:
+            last = n
+    return last + 1
+
+
+@pytest.mark.parametrize("a, b, c, expected", [
+    (Fraction(3, 2), 8, -9, 5),   # h is smallest just before the answer
+    (2, -40, 47, 2),              # answer at the concave/convex boundary
+    (3, -10, 20, 2),              # answer inside the concave part
+    (0, 0, 16, 3),                # h(2) = 0 exactly: 4^2 * log2(4) / 2 = 16
+    (0, -3, -5, 0),               # envelope above from the start
+    (Fraction(1, 2), 30, 0, 15),
+])
+def test_crossover_matches_an_independent_scan(a, b, c, expected):
+    assert log_bound_crossover(a, b, c) == expected
+    assert _independent_crossover(a, b, c, 1024) == expected
+
+
+def test_crossover_exact_zero_counts_as_not_above():
+    """At n = 2, with n+2 a power of two, the envelope equals 16 exactly."""
+    tiny = Fraction(1, 10 ** 30)
+    assert log_bound_crossover(0, 0, 16 - tiny) == 2
+    assert log_bound_crossover(0, 0, 16 + tiny) == 3
+
+
+def test_crossover_escalates_from_a_low_starting_precision():
+    assert log_bound_crossover(8, 0, 0, bits=16) == 65490
+    assert log_bound_crossover(10, 0, 0, bits=16) == 1048519
+
+
+def test_crossover_out_of_reach_raises():
+    """The crossing near 2^2000 cannot be resolved below 1280 bits."""
+    with pytest.raises(ArithmeticError):
+        log_bound_crossover(1000, 0, 0)
+
+
+def test_crossover_boundary_with_independent_precision_shifted_quadratic():
+    """(n+2)^2 log2(n+2) / 2 against 8n^2 - 20n + 12 around 65462."""
+    def h(n: int):
+        with mp.workprec(300):
+            m = mp.mpf(n + 2)
+            return m * m * mp.log(m, 2) / 2 - (8 * n * n - 20 * n + 12)
+
+    n_star = 65462
+    assert h(n_star) > 0
+    assert h(n_star - 1) <= 0
+    for n in (n_star + 1, n_star + 100, 10 ** 6):
+        assert h(n) > 0
