@@ -18,9 +18,6 @@ from .systems import PlanarSystem
 
 CATALOGUE_KEYS = ("s1", "s1a", "s2", "center")
 
-PROVENANCE_REFERENCE = "reference"
-PROVENANCE_DERIVED = "derived"
-
 
 @dataclass(frozen=True)
 class KnownFact:

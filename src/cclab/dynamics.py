@@ -740,13 +740,34 @@ def _bisect_bracket(
     note = ""
     if period is None:
         # no refinement step returned (every trial escaped or was captured),
-        # so time one return on the cycle itself
-        cell = _evaluate_cell(system, r_star, **opts)
-        if cell.kind == _RETURN:
-            period = cell.return_time
+        # so time one return on the cycle itself: forward, then in the
+        # reflected, time-reversed field, which has the same cycle and period
+        # but the opposite stability
+        failures = []
+        for field in (system, _reflected_reversed(system)):
+            cell = _evaluate_cell(field, r_star, **opts)
+            if cell.kind == _RETURN:
+                period = cell.return_time
+                break
+            failures.append(cell.note)
         else:
-            note = "period unknown: the refined radius did not return (%s)" % (
-                cell.note)
+            note = ("period unknown: the refined radius did not return "
+                    "forward (%s) or backward (%s)" % tuple(failures))
     stability = UNSTABLE if s_left < 0 else STABLE
     return Cycle(radius=r_star, period=period, stability=stability,
                  source=NUMERIC_POINCARE, note=note)
+
+
+def _reflected_reversed(system: PlanarSystem) -> PlanarSystem:
+    """The field (-P(x, -y), Q(x, -y)): orbits mirrored in the x-axis and run
+    backward in time.
+
+    It turns the same way round the origin and maps the positive x-axis to
+    itself, so a cycle keeps its crossing and period while repelling and
+    attracting swap.
+    """
+    mirror = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
+    origin = (Fraction(0), Fraction(0))
+    return PlanarSystem(-system.P.subs_linear(mirror, origin, system.varnames),
+                        system.Q.subs_linear(mirror, origin, system.varnames),
+                        system.varnames, system.label)

@@ -14,6 +14,7 @@ The degree of the zero polynomial is -1 by convention.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -46,7 +47,7 @@ class Poly2:
     as immutable: all operations return new polynomials.
     """
 
-    __slots__ = ("terms", "varnames")
+    __slots__ = ("terms", "varnames", "_integer_form")
 
     def __init__(self, terms: Mapping[tuple[int, int], Rat], varnames: tuple[str, str]):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -58,6 +59,7 @@ class Poly2:
                 clean[(i, j)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "varnames", _check_varnames(tuple(varnames)))
+        object.__setattr__(self, "_integer_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly2 is immutable")
@@ -209,46 +211,71 @@ class Poly2:
             out[key] = out.get(key, Fraction(0)) + c * e
         return Poly2(out, self.varnames)
 
+    def _integer(self) -> tuple[int, int, int, list[tuple[int, int, int]]]:
+        """The polynomial over one common denominator, as Python ints.
+
+        Returns ``(den, max_i, max_j, [(i, j, c), ...])`` with self equal to
+        the sum of ``c * x**i * y**j`` divided by ``den``.  Computed on first
+        use and kept, so the evaluation kernels clear denominators once.
+        """
+        form = self._integer_form
+        if form is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            form = (den,
+                    max(i for i, _ in self.terms),
+                    max(j for _, j in self.terms),
+                    [(i, j, c.numerator * (den // c.denominator))
+                     for (i, j), c in self.terms.items()])
+            object.__setattr__(self, "_integer_form", form)
+        return form
+
     def eval_at(self, px: Rat, py: Rat) -> Fraction:
         """Exact evaluation at a rational point."""
         fx, fy = _to_fraction(px), _to_fraction(py)
         if not self.terms:
             return Fraction(0)
-        max_i = max(i for i, _ in self.terms)
-        max_j = max(j for _, j in self.terms)
-        xp = _power_table(fx, max_i)
-        yp = _power_table(fy, max_j)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * xp[i] * yp[j]
-        return total
+        den, max_i, max_j, terms = self._integer()
+        xp = _homogeneous_powers(fx.numerator, fx.denominator, max_i)
+        yp = _homogeneous_powers(fy.numerator, fy.denominator, max_j)
+        total = sum(c * xp[i] * yp[j] for i, j, c in terms)
+        return Fraction(total, den * fx.denominator ** max_i
+                        * fy.denominator ** max_j)
 
     def eval_box(
         self,
         ix: tuple[Rat, Rat],
         iy: tuple[Rat, Rat],
     ) -> tuple[Fraction, Fraction]:
-        """Interval evaluation over a rational box; returns enclosing [lo, hi]."""
+        """Interval evaluation over a rational box; returns enclosing [lo, hi].
+
+        The enclosure is the monomial-wise one (each power of an axis
+        interval taken exactly, each monomial's range bounded by its four
+        corner products) over the box rounded outward to denominator
+        2**128: an endpoint whose denominator has more bits is widened by
+        less than 2**-128, and smaller endpoints are used exactly.
+        """
         xlo, xhi = _to_fraction(ix[0]), _to_fraction(ix[1])
         ylo, yhi = _to_fraction(iy[0]), _to_fraction(iy[1])
         if xlo > xhi or ylo > yhi:
             raise ValueError("box endpoints out of order")
         if not self.terms:
             return (Fraction(0), Fraction(0))
-        max_i = max(i for i, _ in self.terms)
-        max_j = max(j for _, j in self.terms)
-        xp = _interval_powers((xlo, xhi), max_i)
-        yp = _interval_powers((ylo, yhi), max_j)
-        lo = hi = Fraction(0)
-        for (i, j), c in self.terms.items():
-            tlo, thi = _interval_mul(xp[i], yp[j])
+        den, max_i, max_j, terms = self._integer()
+        xp, dx = _homogeneous_interval_powers(_dyadic_outward((xlo, xhi)), max_i)
+        yp, dy = _homogeneous_interval_powers(_dyadic_outward((ylo, yhi)), max_j)
+        lo = hi = 0
+        for i, j, c in terms:
+            a0, a1 = xp[i]
+            b0, b1 = yp[j]
+            products = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
             if c >= 0:
-                lo += c * tlo
-                hi += c * thi
+                lo += c * min(products)
+                hi += c * max(products)
             else:
-                lo += c * thi
-                hi += c * tlo
-        return (lo, hi)
+                lo += c * max(products)
+                hi += c * min(products)
+        scale = den * dx ** max_i * dy ** max_j
+        return (Fraction(lo, scale), Fraction(hi, scale))
 
     def subs_linear(
         self,
@@ -346,33 +373,60 @@ class Poly2:
         return format_poly2(self)
 
 
-def _power_table(base: Fraction, upto: int) -> list[Fraction]:
-    table = [Fraction(1)]
-    for _ in range(upto):
-        table.append(table[-1] * base)
+def _dyadic_outward(
+    iv: tuple[Fraction, Fraction], bits: int = 128
+) -> tuple[Fraction, Fraction]:
+    """Round an interval's endpoints outward to denominator 2**bits.
+
+    Exact interval arithmetic grows endpoint fractions multiplicatively, so
+    repeated Newton steps produce numbers with thousands of digits.  Rounding
+    outward after each step, and before each box evaluation, keeps the
+    arithmetic cheap while widening the enclosure by at most 2**(1-bits), far
+    below the working widths here.  Endpoints with at most ``bits``-bit
+    denominators are returned unchanged.
+    """
+    scale = 1 << bits
+    lo, hi = iv
+    if lo.denominator.bit_length() > bits:
+        lo = Fraction(math.floor(lo * scale), scale)
+    if hi.denominator.bit_length() > bits:
+        hi = Fraction(math.ceil(hi * scale), scale)
+    return (lo, hi)
+
+
+def _homogeneous_powers(num: int, den: int, upto: int) -> list[int]:
+    """``num**n * den**(upto - n)`` for n = 0..upto: (num/den)**n * den**upto."""
+    table = [1] * (upto + 1)
+    for n in range(1, upto + 1):
+        table[n] = table[n - 1] * num
+    scale = 1
+    for n in range(upto, -1, -1):
+        table[n] *= scale
+        scale *= den
     return table
 
 
-def _interval_mul(
-    a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
-def _interval_powers(
+def _homogeneous_interval_powers(
     iv: tuple[Fraction, Fraction], upto: int
-) -> list[tuple[Fraction, Fraction]]:
+) -> tuple[list[tuple[int, int]], int]:
+    """Exact ranges of t**n over t in ``iv`` for n = 0..upto, as ints.
+
+    Returns ``(table, d)`` where d is the lcm of the endpoint denominators
+    and ``table[n]`` is the range of t**n scaled by d**upto.
+    """
     lo, hi = iv
-    table = [(Fraction(1), Fraction(1))]
+    d = math.lcm(lo.denominator, hi.denominator)
+    los = _homogeneous_powers(lo.numerator * (d // lo.denominator), d, upto)
+    his = _homogeneous_powers(hi.numerator * (d // hi.denominator), d, upto)
+    table = [(los[0], his[0])]
     for n in range(1, upto + 1):
         if n % 2 == 1 or lo >= 0:
-            table.append((lo ** n, hi ** n))
+            table.append((los[n], his[n]))
         elif hi <= 0:
-            table.append((hi ** n, lo ** n))
+            table.append((his[n], los[n]))
         else:
-            table.append((Fraction(0), max(lo ** n, hi ** n)))
-    return table
+            table.append((0, max(los[n], his[n])))
+    return table, d
 
 
 def _poly_power_table(p: Poly2, upto: int) -> list[Poly2]:

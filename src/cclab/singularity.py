@@ -23,7 +23,6 @@ reported as unresolved rather than guessed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .curvature import (
     VALUE,
 )
 from .elimination import resultant
-from .polynomials import Poly2, Rat, UniPoly, _to_fraction
+from .polynomials import Poly2, Rat, UniPoly, _dyadic_outward, _to_fraction
 from .realroots import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -302,23 +301,6 @@ def _interval_newton_step(
     if _istrictly_inside(nx, ix) and _istrictly_inside(ny, iy):
         return ("certified", cut_x, cut_y)
     return ("unknown", cut_x, cut_y)
-
-
-def _dyadic_outward(iv: Interval, bits: int = 128) -> Interval:
-    """Round an interval's endpoints outward to denominator 2**bits.
-
-    Exact interval arithmetic grows endpoint fractions multiplicatively, so
-    repeated Newton steps produce numbers with thousands of digits.  Rounding
-    outward after each step keeps every later evaluation cheap while widening
-    the enclosure by at most 2**(1-bits), far below the working widths here.
-    """
-    scale = 1 << bits
-    lo, hi = iv
-    if lo.denominator.bit_length() > bits:
-        lo = Fraction(math.floor(lo * scale), scale)
-    if hi.denominator.bit_length() > bits:
-        hi = Fraction(math.ceil(hi * scale), scale)
-    return (lo, hi)
 
 
 def _newton_contract(
@@ -620,8 +602,11 @@ def singular_locus(
     divergence = [
         _divergence_verdict(curv, box, indices) for box, indices in merged_boxes
     ]
-    pair_count, pair_notes = _symmetric_pair_count(divergence, subsystems)
-    notes.extend(pair_notes)
+    if _all_pairs_parity_symmetric(subsystems):
+        notes.append(
+            "every subsystem polynomial has pure parity, so the singular "
+            "set is symmetric under (x, y) -> (-x, -y)"
+        )
     return SingularLocusReport(
         subsystems=subsystems,
         branches=tuple(branch_results),
@@ -704,17 +689,8 @@ def _merge_across_branches(
     return merged
 
 
-def _symmetric_pair_count(
-    points: list[DivergencePoint],
-    subsystems: tuple[tuple[Poly2, Poly2], ...],
-) -> tuple[int, list[str]]:
+def _symmetric_pair_count(points: list[DivergencePoint]) -> int:
     """Count unordered pairs {p, -p} among certified divergence points."""
-    notes: list[str] = []
-    if _all_pairs_parity_symmetric(subsystems):
-        notes.append(
-            "every subsystem polynomial has pure parity, so the singular "
-            "set is symmetric under (x, y) -> (-x, -y)"
-        )
     used: set[int] = set()
     count = 0
     for i, p in enumerate(points):
@@ -737,7 +713,7 @@ def _symmetric_pair_count(
                 used.add(j)
                 count += 1
                 break
-    return count, notes
+    return count
 
 
 def _all_pairs_parity_symmetric(
@@ -801,7 +777,11 @@ def sign_of_R_near_equilibrium(
     system = curv.system
     if not system.is_equilibrium(px, py):
         raise ValueError(f"({px}, {py}) is not an equilibrium of the system")
-    outcome = curv.reduced.function.evaluate(px, py)
+    return _sign_verdict(curv.reduced.function.evaluate(px, py))
+
+
+def _sign_verdict(outcome: PointValue) -> str:
+    """Neighborhood sign verdict from R's exact outcome at an equilibrium."""
     if outcome.kind != VALUE:
         return NOT_CONTINUOUS_HERE
     if outcome.value > 0:
@@ -830,11 +810,10 @@ def assertion_report(
         if not cert.valid:
             raise ValueError(f"({cert.point[0]}, {cert.point[1]}) is not an "
                              "equilibrium; cannot evaluate the criteria there")
-        signs.append((cert.point, sign_of_R_near_equilibrium(curv, cert.point)))
+        signs.append((cert.point, _sign_verdict(cert.R_at_point)))
 
     b_count = locus.certified_divergence_count
-    pair_count, _ = _symmetric_pair_count(
-        list(locus.divergence_points), locus.subsystems)
+    pair_count = _symmetric_pair_count(list(locus.divergence_points))
     notes: list[str] = []
     if locus.unresolved:
         notes.append(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -9,6 +11,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+from cclab import dynamics
 from cclab.analysis import analyze
 from cclab.catalogue import load_catalogue, load_references
 from cclab.curvature import scalar_curvature
@@ -40,3 +43,20 @@ def loci(curvatures):
 def analyses(catalogue):
     """Full pipeline runs, shared because the numeric scans dominate cost."""
     return {key: analyze(entry.system) for key, entry in catalogue.items()}
+
+
+@pytest.fixture
+def no_timed_returns(monkeypatch):
+    """Make every return-map evaluation that returns unusable instead, so a
+    cycle bracketed only by escaping and captured trajectories gets no
+    period."""
+    evaluate = dynamics._evaluate_cell
+
+    def without_returns(*args, **kwargs):
+        cell = evaluate(*args, **kwargs)
+        if cell.kind != dynamics._RETURN:
+            return cell
+        return dataclasses.replace(cell, kind=dynamics._UNUSABLE,
+                                   note="return suppressed")
+
+    monkeypatch.setattr(dynamics, "_evaluate_cell", without_returns)

@@ -168,7 +168,7 @@ def test_render_report_mentions_the_essentials(analyses):
     assert "criterion" in text.lower() or "verdict" in text.lower()
 
 
-def test_report_with_an_untimed_cycle_period_renders():
+def test_report_with_an_untimed_cycle_period_renders(no_timed_returns):
     system = parse_system("vars: x y\n"
                           "dx = -y + x*(x^2 + y^2 - 5)\n"
                           "dy = x + y*(x^2 + y^2 - 5)\n")

@@ -270,10 +270,23 @@ def test_scan_survives_float_overflow_in_the_field():
         assert abs(cycle.radius - math.sqrt(sq)) < 1e-6
 
 
-def test_scan_period_unknown_when_no_return_is_timed():
+def test_scan_times_a_strongly_repelling_cycle_backward():
     """Radius^2 = 5: the cycle's multiplier is e^(20*pi), so every grid cell
     and bisection midpoint escapes or is captured before returning, and so
-    does the refined radius.  The period is then None, never NaN."""
+    does the refined radius.  The reflected, time-reversed field makes the
+    cycle attracting and times its period."""
+    report = find_cycles_numeric(rigid("x^2 + y^2 - 5"), (0.25, 4.0), 16)
+    assert report.cycle_count == 1
+    cycle = report.cycles[0]
+    assert abs(cycle.radius - math.sqrt(5)) < 1e-6
+    assert cycle.stability == UNSTABLE
+    assert abs(cycle.period - TWO_PI) < 1e-6
+    assert cycle.note == ""
+
+
+def test_scan_period_unknown_when_no_return_is_timed(no_timed_returns):
+    """With no return timed in either direction the period is None, never
+    NaN."""
     report = find_cycles_numeric(rigid("x^2 + y^2 - 5"), (0.25, 4.0), 16)
     assert report.cycle_count == 1
     cycle = report.cycles[0]

@@ -1,9 +1,11 @@
 """Exact-arithmetic properties of the polynomial layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from _strategies import XY, points, polys, nonzero_polys, rationals, unipolys
 from cclab.polynomials import Poly2, UniPoly, format_poly2, format_unipoly
@@ -179,6 +181,100 @@ def test_eval_box_encloses_point_values(p, lo, hi):
                    ((xlo + xhi) / 2, (ylo + yhi) / 2)):
         value = p.eval_at(px, py)
         assert box_lo <= value <= box_hi
+
+
+# The Fraction kernels the integer ones replaced, kept as the reference: the
+# integer kernels must give the same exact values, and the same enclosure
+# whenever the box needs no outward rounding.
+
+
+def _reference_eval_at(p, px, py):
+    px, py = Fraction(px), Fraction(py)
+    return sum((c * px ** i * py ** j for (i, j), c in p.terms.items()),
+               Fraction(0))
+
+
+def _reference_powers(lo, hi, upto):
+    table = [(Fraction(1), Fraction(1))]
+    for n in range(1, upto + 1):
+        if n % 2 == 1 or lo >= 0:
+            table.append((lo ** n, hi ** n))
+        elif hi <= 0:
+            table.append((hi ** n, lo ** n))
+        else:
+            table.append((Fraction(0), max(lo ** n, hi ** n)))
+    return table
+
+
+def _reference_eval_box(p, ix, iy):
+    if not p.terms:
+        return (Fraction(0), Fraction(0))
+    xp = _reference_powers(Fraction(ix[0]), Fraction(ix[1]),
+                           max(i for i, _ in p.terms))
+    yp = _reference_powers(Fraction(iy[0]), Fraction(iy[1]),
+                           max(j for _, j in p.terms))
+    lo = hi = Fraction(0)
+    for (i, j), c in p.terms.items():
+        (a0, a1), (b0, b1) = xp[i], yp[j]
+        products = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+        tlo, thi = min(products), max(products)
+        lo += c * (tlo if c >= 0 else thi)
+        hi += c * (thi if c >= 0 else tlo)
+    return (lo, hi)
+
+
+@st.composite
+def _endpoints(draw, denominators):
+    """A sorted pair of rationals in [-4, 4] over the given denominators."""
+    pair = []
+    for _ in range(2):
+        d = draw(denominators)
+        pair.append(Fraction(draw(st.integers(-4 * d, 4 * d)), d))
+    return tuple(sorted(pair))
+
+
+# Denominators of at most 2**128 are used exactly; 3**90 needs 143 bits.
+_exact_denominators = st.one_of(st.integers(1, 64),
+                                st.integers(1, 2 ** 128))
+_huge_denominators = st.sampled_from((3 ** 90, 7 ** 60, 2 ** 129 + 1))
+
+
+@given(polys(), _endpoints(_exact_denominators),
+       _endpoints(_exact_denominators))
+def test_eval_box_matches_reference_on_exact_boxes(p, ix, iy):
+    assert p.eval_box(ix, iy) == _reference_eval_box(p, ix, iy)
+
+
+@given(polys(), _endpoints(_huge_denominators),
+       _endpoints(st.one_of(_huge_denominators, _exact_denominators)))
+def test_eval_box_encloses_reference_on_rounded_boxes(p, ix, iy):
+    lo, hi = p.eval_box(ix, iy)
+    ref_lo, ref_hi = _reference_eval_box(p, ix, iy)
+    assert lo <= ref_lo and ref_hi <= hi
+    assert (lo, hi) == _reference_eval_box(p, _outward(ix), _outward(iy))
+
+
+def _outward(iv):
+    """Endpoints with denominators over 2**128 rounded outward to 2**-128."""
+    scale = 2 ** 128
+    lo, hi = iv
+    if lo.denominator > scale:
+        lo = Fraction(math.floor(lo * scale), scale)
+    if hi.denominator > scale:
+        hi = Fraction(math.ceil(hi * scale), scale)
+    return (lo, hi)
+
+
+@given(polys(), st.one_of(points, st.just((Fraction(1, 3), Fraction(-2, 3)))))
+def test_eval_box_on_a_point_is_the_exact_value(p, pt):
+    px, py = pt
+    lo, hi = p.eval_box((px, px), (py, py))
+    assert lo == hi == p.eval_at(px, py)
+
+
+@given(polys(), _endpoints(_exact_denominators))
+def test_eval_at_matches_reference(p, pt):
+    assert p.eval_at(*pt) == _reference_eval_at(p, *pt)
 
 
 # --- coefficient extraction ---------------------------------------------------
