@@ -32,7 +32,7 @@ from .singularity import (
     AssertionReport,
     EquilibriumCertificate,
     SingularLocusReport,
-    assertion_report,
+    _criteria_report,
     find_equilibria,
     singular_locus,
     verify_equilibrium,
@@ -118,13 +118,10 @@ def analyze(
 
     eq_branch = find_equilibria(system)
     certificates: list[EquilibriumCertificate] = []
-    exact_points: list[tuple[Fraction, Fraction]] = []
     for box in eq_branch.points:
         if box.is_exact:
-            point = (box.x.exact, box.y.exact)
-            certificates.append(
-                verify_equilibrium(system, point, curv.reduced.function))
-            exact_points.append(point)
+            certificates.append(verify_equilibrium(
+                system, (box.x.exact, box.y.exact), curv.reduced.function))
         else:
             fx, fy = box.float_point()
             notes.append(
@@ -135,7 +132,7 @@ def analyze(
                      % len(eq_branch.unresolved))
 
     locus = singular_locus(curv)
-    assertions = assertion_report(curv, exact_points, locus)
+    assertions = _criteria_report(certificates, locus)
 
     radial = detect_radial_form(system)
     cycles_exact = exact_radial_cycles(radial) if radial.matched else None

@@ -9,8 +9,8 @@ Bareiss fraction-free elimination, so every intermediate division is exact
 The key consequence used downstream: the resultant lies in the ideal generated
 by the two inputs, so every common real zero of the pair projects onto a real
 root of the resultant.  A nonzero resultant with no real roots therefore
-certifies that the pair has no common real zero anywhere on lines where the
-leading coefficients do not both vanish.
+certifies that the pair has no common real zero anywhere, including on lines
+where the leading coefficients of both inputs vanish.
 """
 
 from __future__ import annotations

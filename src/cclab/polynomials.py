@@ -604,9 +604,6 @@ class UniPoly:
             raise ValueError("division was not exact")
         return q
 
-    def rename(self, var: str) -> UniPoly:
-        return UniPoly(self.coeffs, var)
-
     def __repr__(self) -> str:
         return f"UniPoly({format_unipoly(self)!r})"
 

@@ -265,9 +265,7 @@ class _LineOfSolutions(Exception):
 
 
 def _interval_newton_step(
-    f: Poly2, g: Poly2,
-    fx: Poly2, fy: Poly2, gx: Poly2, gy: Poly2,
-    ix: Interval, iy: Interval,
+    f: Poly2, g: Poly2, partials, ix: Interval, iy: Interval,
 ) -> tuple[str, Interval, Interval]:
     """One exact interval Newton step.  Returns (verdict, nx, ny).
 
@@ -280,10 +278,7 @@ def _interval_newton_step(
         lo, hi = poly.eval_box(ix, iy)
         if lo > 0 or hi < 0:
             return ("rejected", ix, iy)
-    ja = fx.eval_box(ix, iy)
-    jb = fy.eval_box(ix, iy)
-    jc = gx.eval_box(ix, iy)
-    jd = gy.eval_box(ix, iy)
+    ja, jb, jc, jd = (d.eval_box(ix, iy) for d in partials)
     det = _isub(_imul(ja, jd), _imul(jb, jc))
     if det[0] <= 0 <= det[1]:
         return ("unknown", ix, iy)
@@ -303,16 +298,18 @@ def _interval_newton_step(
     return ("unknown", cut_x, cut_y)
 
 
+_CONTRACT_STEPS = 60
+
+
 def _newton_contract(
     f: Poly2, g: Poly2, partials, ix: Interval, iy: Interval,
-    target_width: Fraction, max_steps: int = 60,
+    target_width: Fraction,
 ) -> tuple[Interval, Interval]:
     """Shrink a certified box by repeated Newton intersection."""
-    fx, fy, gx, gy = partials
-    for _ in range(max_steps):
+    for _ in range(_CONTRACT_STEPS):
         if ix[1] - ix[0] <= target_width and iy[1] - iy[0] <= target_width:
             break
-        verdict, nx, ny = _interval_newton_step(f, g, fx, fy, gx, gy, ix, iy)
+        verdict, nx, ny = _interval_newton_step(f, g, partials, ix, iy)
         if verdict == "rejected":  # cannot happen for a certified box
             break
         nx, ny = _dyadic_outward(nx), _dyadic_outward(ny)
@@ -320,78 +317,6 @@ def _newton_contract(
             break
         ix, iy = nx, ny
     return ix, iy
-
-
-def _leading_coefficient_notes(
-    f: Poly2, g: Poly2, eliminate: str
-) -> tuple[list[str], list[tuple[Fraction, UniPoly]]]:
-    """The degenerate-case analysis behind an emptiness certificate.
-
-    Where the leading coefficients of both polynomials (as polynomials in the
-    eliminated variable) vanish simultaneously, the Sylvester projection
-    degenerates, so those lines are examined separately and exactly.  Returns
-    human-readable notes plus any common zeros found on such lines as
-    (value-of-survivor, gcd-of-specializations) pairs for the caller to
-    fold in (none arise when the eliminant has no real roots at all, since
-    the resultant still lies in the ideal of the pair).
-    """
-    notes: list[str] = []
-    extra: list[tuple[Fraction, UniPoly]] = []
-    fc = f.coeffs_in(eliminate)
-    gc = g.coeffs_in(eliminate)
-    if len(fc) <= 1 or len(gc) <= 1:
-        notes.append(
-            f"lc check ({eliminate}): one input is constant in {eliminate}; "
-            "direct convention used, no degenerate lines"
-        )
-        return notes, extra
-    lf, lg = fc[-1], gc[-1]
-    if lf.constant_value() is not None or lg.constant_value() is not None:
-        notes.append(
-            f"lc check ({eliminate}): a leading coefficient is a nonzero "
-            "constant, so the leading coefficients never vanish together"
-        )
-        return notes, extra
-    common = unipoly_gcd(lf, lg)
-    if common.degree <= 0 or count_real_roots(common) == 0:
-        notes.append(
-            f"lc check ({eliminate}): leading coefficients have no common "
-            "real zero"
-        )
-        return notes, extra
-    survivor = common.var
-    report = isolate_real_roots(common)
-    for iv in report.intervals:
-        if iv.exact is not None:
-            fs = _specialize(f, survivor, iv.exact)
-            gs = _specialize(g, survivor, iv.exact)
-            if fs.is_zero() and gs.is_zero():
-                notes.append(
-                    f"lc check ({eliminate}): the line {survivor} = {iv.exact} "
-                    "solves the pair identically (degenerate)"
-                )
-                extra.append((iv.exact, UniPoly.zero(eliminate)))
-                continue
-            h = gs if fs.is_zero() else (fs if gs.is_zero() else unipoly_gcd(fs, gs))
-            if h.degree > 0 and count_real_roots(h) > 0:
-                extra.append((iv.exact, h))
-                notes.append(
-                    f"lc check ({eliminate}): common zeros found on the line "
-                    f"{survivor} = {iv.exact}"
-                )
-            else:
-                notes.append(
-                    f"lc check ({eliminate}): line {survivor} = {iv.exact} "
-                    "carries no common zero (specialized gcd has no real root)"
-                )
-        else:
-            notes.append(
-                f"lc check ({eliminate}): an irrational common lc zero near "
-                f"{survivor} = {float(iv.midpoint):.6g} is excluded because "
-                "the eliminant, which lies in the ideal of the pair, has no "
-                "real root there"
-            )
-    return notes, extra
 
 
 def real_solutions_2x2(
@@ -402,11 +327,10 @@ def real_solutions_2x2(
     """All real common zeros of two bivariate polynomials, certified.
 
     The outcome is one of: EMPTY_CERTIFIED (eliminant in some direction is
-    nonzero with no real roots, leading-coefficient degeneracies checked),
-    POINTS (each listed point certified exactly or by interval Newton;
-    anything unsettled is listed as unresolved, never counted), or
-    DEGENERATE_BRANCH (the common zero set is not finite: shared factor or
-    a full line).
+    nonzero with no real roots), POINTS (each listed point certified exactly
+    or by interval Newton; anything unsettled is listed as unresolved, never
+    counted), or DEGENERATE_BRANCH (the common zero set is not finite:
+    shared factor or a full line).
     """
     if f.varnames != g.varnames:
         raise ValueError(f"variable names differ: {f.varnames} vs {g.varnames}")
@@ -463,26 +387,14 @@ def real_solutions_2x2(
     roots_a = isolate_real_roots(eliminant_a, width=width)
     roots_b = isolate_real_roots(eliminant_b, width=width)
 
-    notes: list[str] = []
     if roots_a.count == 0 or roots_b.count == 0:
         empty_dir = a if roots_a.count == 0 else b
-        notes.append(
-            f"eliminant in {empty_dir} has no real roots; since the "
-            "resultant lies in the ideal of the pair, no common real zero "
-            "can exist"
-        )
-        for eliminate in (a, b):
-            lc_notes, extra = _leading_coefficient_notes(f, g, eliminate)
-            notes.extend(lc_notes)
-            if extra:  # defensive: cannot happen when an eliminant is rootless
-                notes.append(
-                    "inconsistency: a leading-coefficient line carries zeros "
-                    "despite a rootless eliminant"
-                )
         return BranchSolutions(
             f, g, EMPTY_CERTIFIED,
             eliminant_x=eliminant_a, eliminant_y=eliminant_b,
-            notes=tuple(notes))
+            notes=(f"eliminant in {empty_dir} has no real roots; since the "
+                   "resultant lies in the ideal of the pair, no common real "
+                   "zero can exist",))
 
     # candidate grid: every common real zero projects into one cell
     partials = (f.partial(a), f.partial(b), g.partial(a), g.partial(b))
@@ -503,18 +415,17 @@ def real_solutions_2x2(
             eliminant_x=eliminant_a, eliminant_y=eliminant_b,
             notes=(f"the entire line {line.var} = {line.value} solves the "
                    "pair",))
+    notes: tuple[str, ...] = ()
     if unresolved:
-        notes.append(
-            f"{len(unresolved)} candidate cell(s) could not be certified or "
-            "rejected at the smallest refinement width; they are excluded "
-            "from every count"
-        )
+        notes = (f"{len(unresolved)} candidate cell(s) could not be certified "
+                 "or rejected at the smallest refinement width; they are "
+                 "excluded from every count",)
     points.sort(key=lambda pb: (pb.x.lo, pb.y.lo))
     return BranchSolutions(
         f, g, POINTS,
         points=tuple(points), unresolved=tuple(unresolved),
         eliminant_x=eliminant_a, eliminant_y=eliminant_b,
-        notes=tuple(notes))
+        notes=notes)
 
 
 def _certify_cell(
@@ -527,44 +438,40 @@ def _certify_cell(
     eliminant_b: UniPoly,
     width: Fraction,
 ) -> tuple[str, PointBox] | None:
-    """Settle one candidate cell: ("point", box), ("unresolved", box), or None."""
-    a, b = f.varnames
-    if ivx.exact is not None and ivy.exact is not None:
-        if _certify_exact(f, g, ivx.exact, ivy.exact):
-            return ("point", PointBox(ivx, ivy))
-        return None
-    if ivx.exact is not None:
-        refined = _certify_half_exact(f, g, a, ivx.exact, ivy)
-        return None if refined is None else ("point", PointBox(ivx, refined))
-    if ivy.exact is not None:
-        refined = _certify_half_exact(f, g, b, ivy.exact, ivx)
-        return None if refined is None else ("point", PointBox(refined, ivy))
+    """Settle one candidate cell: ("point", box), ("unresolved", box), or None.
 
-    ix, iy = (ivx.lo, ivx.hi), (ivy.lo, ivy.hi)
+    A cell with a rational coordinate is settled exactly.  Otherwise an
+    inconclusive interval Newton step refines both coordinates, which may
+    collapse one to a rational, and the cell is retried, at most five times.
+    """
+    a, b = f.varnames
     shrink_width = width
-    for _ in range(5):
+    attempts = 0
+    while True:
+        if ivx.exact is not None and ivy.exact is not None:
+            if _certify_exact(f, g, ivx.exact, ivy.exact):
+                return ("point", PointBox(ivx, ivy))
+            return None
+        if ivx.exact is not None:
+            refined = _certify_half_exact(f, g, a, ivx.exact, ivy)
+            return None if refined is None else ("point", PointBox(ivx, refined))
+        if ivy.exact is not None:
+            refined = _certify_half_exact(f, g, b, ivy.exact, ivx)
+            return None if refined is None else ("point", PointBox(refined, ivy))
+        if attempts == 5:
+            return ("unresolved", PointBox(ivx, ivy))
+        attempts += 1
         verdict, nx, ny = _interval_newton_step(
-            f, g, partials[0], partials[1], partials[2], partials[3], ix, iy)
+            f, g, partials, (ivx.lo, ivx.hi), (ivy.lo, ivy.hi))
         if verdict == "rejected":
             return None
         if verdict == "certified":
             nx, ny = _newton_contract(f, g, partials, nx, ny, width)
             return ("point", PointBox(RootInterval(nx[0], nx[1]),
                                       RootInterval(ny[0], ny[1])))
-        # shrink the coordinate enclosures and retry
         shrink_width = shrink_width * shrink_width
-        rx = refine_root(eliminant_a, RootInterval(ix[0], ix[1]), shrink_width)
-        ry = refine_root(eliminant_b, RootInterval(iy[0], iy[1]), shrink_width)
-        if rx.exact is not None or ry.exact is not None:
-            # a coordinate collapsed to an exact rational during refinement
-            if rx.exact is not None:
-                refined = _certify_half_exact(f, g, a, rx.exact, ry)
-                return None if refined is None else ("point", PointBox(rx, refined))
-            refined = _certify_half_exact(f, g, b, ry.exact, rx)
-            return None if refined is None else ("point", PointBox(refined, ry))
-        ix, iy = (rx.lo, rx.hi), (ry.lo, ry.hi)
-    return ("unresolved", PointBox(RootInterval(ix[0], ix[1]),
-                                   RootInterval(iy[0], iy[1])))
+        ivx = refine_root(eliminant_a, ivx, shrink_width)
+        ivy = refine_root(eliminant_b, ivy, shrink_width)
 
 
 # --- singular locus of |R| -----------------------------------------------------
@@ -804,9 +711,18 @@ def assertion_report(
     """
     if locus is None:
         locus = singular_locus(curv)
+    certificates = [verify_equilibrium(curv.system, point, curv.reduced.function)
+                    for point in equilibria]
+    return _criteria_report(certificates, locus)
+
+
+def _criteria_report(
+    certificates: list[EquilibriumCertificate],
+    locus: SingularLocusReport,
+) -> AssertionReport:
+    """Both criterion verdicts from equilibrium certificates made once."""
     signs = []
-    for point in equilibria:
-        cert = verify_equilibrium(curv.system, point, curv.reduced.function)
+    for cert in certificates:
         if not cert.valid:
             raise ValueError(f"({cert.point[0]}, {cert.point[1]}) is not an "
                              "equilibrium; cannot evaluate the criteria there")

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import cclab.analysis
+import cclab.singularity
 from cclab.analysis import (
     analyze,
     render_report,
@@ -121,6 +123,25 @@ def test_analyze_without_scan(catalogue):
     assert report.cycles_exact.cycle_count == 1
     # the preferred report falls back to the exact one
     assert report.cycles is report.cycles_exact
+
+
+def test_analyze_certifies_each_equilibrium_once(monkeypatch):
+    calls = []
+    original = cclab.singularity.verify_equilibrium
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cclab.analysis, "verify_equilibrium", counting)
+    monkeypatch.setattr(cclab.singularity, "verify_equilibrium", counting)
+    # exact equilibria at (+-1, 0)
+    system = parse_system("vars: x y\ndx = y\ndy = x^2 - 1\n")
+    report = analyze(system, scan=False)
+    assert len(report.equilibria) == 2
+    assert sorted(calls) == sorted(cert.point for cert in report.equilibria)
+    assert [point for point, _ in report.assertions.equilibrium_signs] == [
+        cert.point for cert in report.equilibria]
 
 
 def test_analyze_skips_scan_off_origin():

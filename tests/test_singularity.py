@@ -109,6 +109,25 @@ def test_zero_inputs():
     assert real_solutions_2x2(zero, P({(1, 0): 1})).status == DEGENERATE_BRANCH
 
 
+def test_rootless_eliminant_certifies_through_common_leading_zeros():
+    # as polynomials in y the leading coefficients 2x and -2x vanish together
+    # on x = 0, where the x-eliminant has a real root; the y-eliminant has
+    # none, and since it lies in the ideal of the pair that settles it
+    f = P({(2, 0): -2, (1, 1): 2, (0, 0): -2})   # -2x^2 + 2xy - 2
+    g = P({(1, 2): -2, (0, 0): -2})              # -2xy^2 - 2
+    assert str(f.coeffs_in("y")[-1]) == "2*x"
+    assert str(g.coeffs_in("y")[-1]) == "-2*x"
+    result = real_solutions_2x2(f, g)
+    assert str(result.eliminant_x) == "-8*x^5 - 16*x^3 - 8*x^2 - 8*x"
+    assert result.eliminant_x.eval_at(Fraction(0)) == 0
+    assert str(result.eliminant_y) == "-8*y^4 - 8*y^3 - 8"
+    assert result.status == EMPTY_CERTIFIED
+    assert not result.points and not result.unresolved
+    assert result.notes == (
+        "eliminant in y has no real roots; since the resultant lies in the "
+        "ideal of the pair, no common real zero can exist",)
+
+
 def test_tangential_rational_contact_is_pinned():
     f = P({(0, 1): 1, (2, 0): -1})  # y - x^2
     g = P({(0, 1): 1})              # y
