@@ -104,8 +104,6 @@ def analyze(
     system: PlanarSystem,
     r_range: tuple[float, float] = DEFAULT_R_RANGE,
     n_scan: int = DEFAULT_N_SCAN,
-    *,
-    scan: bool = True,
 ) -> AnalysisReport:
     """Run the full pipeline on one system.
 
@@ -138,11 +136,10 @@ def analyze(
     cycles_exact = exact_radial_cycles(radial) if radial.matched else None
 
     cycles_numeric: LimitCycleReport | None = None
-    if scan:
-        try:
-            cycles_numeric = find_cycles_numeric(system, r_range, n_scan)
-        except ValueError as exc:
-            notes.append("numeric cycle scan skipped: %s" % exc)
+    try:
+        cycles_numeric = find_cycles_numeric(system, r_range, n_scan)
+    except ValueError as exc:
+        notes.append("numeric cycle scan skipped: %s" % exc)
 
     if cycles_exact is not None and cycles_numeric is not None:
         notes.append(_agreement_note(cycles_exact, cycles_numeric))

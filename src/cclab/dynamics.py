@@ -23,7 +23,6 @@ from typing import Callable, Iterator, TextIO
 from .polynomials import Poly2, UniPoly
 from .realroots import (
     RootInterval,
-    count_real_roots,
     positive_real_roots,
     rational_root_in,
     root_multiplicity,
@@ -245,7 +244,6 @@ def integrate(
     atol: float = 1e-12,
     *,
     fixed_step: float | None = None,
-    max_step: float | None = None,
 ) -> Trajectory:
     """Integrate the field from ``start`` for ``t_end`` time units.
 
@@ -275,7 +273,7 @@ def integrate(
         return Trajectory(tuple(samples), rtol, atol, count, 0, fixed_step)
     stats: list = []
     for (_, _, _, t1, x1, y1) in _adaptive_steps(
-            deriv, start, t_end, rtol, atol, max_step, stats):
+            deriv, start, t_end, rtol, atol, stats=stats):
         samples.append((t1, x1, y1))
     return Trajectory(tuple(samples), rtol, atol, stats[0], stats[1])
 
@@ -368,11 +366,11 @@ class LimitCycleReport:
         return len(self.cycles)
 
 
-def _sqrt_bounds(value: Fraction, digits: int = 15) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(value) <= hi with width about 10**-digits."""
+def _sqrt_bounds(value: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(value) <= hi with width about 1e-15."""
     if value < 0:
         raise ValueError("negative radicand")
-    scale = 10 ** digits
+    scale = 10 ** 15
     shifted = (value.numerator * scale * scale) // value.denominator
     root = math.isqrt(shifted)
     return Fraction(root, scale), Fraction(root + 2, scale)
@@ -386,42 +384,30 @@ def _exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def _flank_points(f: UniPoly, intervals, i: int) -> tuple[Fraction, Fraction]:
-    """Rational points just below and just above the i-th isolated root.
+def _point_above(intervals, i: int) -> Fraction:
+    """A rational point between the i-th isolated root and the next one.
 
-    The gap between consecutive isolating intervals contains no root of f,
-    so any interior point of a gap gives the off-root sign.  The only case
-    needing care is a first interval whose lower endpoint sits on the region
-    edge 0, where f itself may vanish; the point is then pulled below the
-    root by halving until the Sturm count agrees.
+    An inexact isolating interval's upper end is such a point; an exact
+    root takes the midpoint of the gap to the next interval, or the root
+    plus one when it is the last.
     """
     iv = intervals[i]
-    target_lo = iv.exact if iv.exact is not None else iv.lo
-    prev_hi = intervals[i - 1].hi if i > 0 else Fraction(0)
-    if target_lo > prev_hi:
-        below = (prev_hi + target_lo) / 2
-    else:
-        below = (prev_hi + iv.hi) / 2
-        while count_real_roots(f, prev_hi, below) > 0:
-            below = (prev_hi + below) / 2
-    if iv.exact is not None:
-        if i + 1 < len(intervals):
-            above = (iv.exact + intervals[i + 1].lo) / 2
-        else:
-            above = iv.exact + 1
-    else:
-        above = iv.hi
-    return below, above
+    if iv.exact is None:
+        return iv.hi
+    if i + 1 < len(intervals):
+        return (iv.exact + intervals[i + 1].lo) / 2
+    return iv.exact + 1
 
 
 def exact_radial_cycles(form: RadialForm) -> LimitCycleReport:
     """Limit cycles of a rigid system, from the roots of its radial rate.
 
     Each positive simple root s* of f gives a cycle of radius sqrt(s*) and
-    period exactly 2*pi.  Stability follows the sign of f across the root:
-    rising through zero repels nearby radii, falling attracts them.  Roots
-    of even multiplicity are one-sided contacts, reported as semi-stable
-    and counted once.
+    period exactly 2*pi.  At a root of odd multiplicity f changes sign, so
+    the sign of f just above the root gives stability: positive (f rises
+    through zero) repels nearby radii, negative attracts them.  Roots of
+    even multiplicity are one-sided contacts, reported as semi-stable and
+    counted once.
     """
     if not form.matched:
         raise ValueError("exact radial analysis needs a matched rigid form")
@@ -435,21 +421,15 @@ def exact_radial_cycles(form: RadialForm) -> LimitCycleReport:
     cycles = []
     for i, iv in enumerate(report.intervals):
         mult = root_multiplicity(form.f, iv)
-        below_pt, above_pt = _flank_points(form.f, report.intervals, i)
-        sign_below = form.f.eval_at(below_pt)
-        sign_above = form.f.eval_at(above_pt)
         note = ""
         if mult % 2 == 0:
             stability = SEMI_STABLE
             note = (f"root of multiplicity {mult}: one-sided contact, "
                     "counted as a single semi-stable cycle")
-        elif sign_below < 0 < sign_above:
+        elif form.f.eval_at(_point_above(report.intervals, i)) > 0:
             stability = UNSTABLE
-        elif sign_below > 0 > sign_above:
-            stability = STABLE
         else:
-            raise AssertionError("isolating interval endpoints straddle "
-                                 "no sign change for an odd-order root")
+            stability = STABLE
         if mult > 1 and not note:
             note = f"root of multiplicity {mult}"
         exact_s = iv.exact if iv.exact is not None else rational_root_in(form.f, iv)
@@ -478,6 +458,24 @@ def exact_radial_cycles(form: RadialForm) -> LimitCycleReport:
 
 
 # --- Poincare return map on the positive x-axis --------------------------------
+
+# One return is abandoned after _T_MAX time units, and a trajectory that
+# comes within _R_MIN of the origin counts as captured by the equilibrium.
+_T_MAX = 1e3
+_R_MIN = 1e-6
+# poincare_return's tolerances; its docstring says why they are this tight
+_RETURN_RTOL = 1e-14
+_RETURN_ATOL = 1e-16
+
+
+def _section_field(
+    system: PlanarSystem,
+) -> Callable[[float, float], tuple[float, float]]:
+    """The compiled field of a system whose origin anchors the section."""
+    if system.P.eval_at(0, 0) != 0 or system.Q.eval_at(0, 0) != 0:
+        raise ValueError("the section is anchored at the origin, which must "
+                         "be an equilibrium; translate the system first")
+    return _compile_field(system)
 
 
 def _state_at(deriv, x0: float, y0: float, span: float,
@@ -515,61 +513,52 @@ def _bisect_crossing(
     return t0 + tau, xc, yc
 
 
-def _return_event(
-    system: PlanarSystem,
-    r0: float,
-    *,
-    rtol: float = 1e-14,
-    atol: float = 1e-16,
-    t_max: float = 1e3,
-    r_min: float = 1e-6,
-) -> tuple[float, float]:
+def _return_event(deriv, r0: float, rtol: float,
+                  atol: float) -> tuple[float, float]:
     """First return to the positive x-axis: (crossing abscissa, crossing time).
 
-    The section is {y = 0, x > r_min} oriented upward: a crossing counts when
-    y passes from negative to nonnegative.  Starting on the section itself is
-    fine, since the start has y = 0 exactly and the test needs y < 0 first.
+    The section is {y = 0, x > _R_MIN} oriented upward: a crossing counts
+    when y passes from negative to nonnegative.  Starting on the section
+    itself is fine, since the start has y = 0 exactly and the test needs
+    y < 0 first.
+    """
+    r_min_sq = _R_MIN * _R_MIN
+    for (t0, x0, y0, t1, x1, y1) in _adaptive_steps(
+            deriv, (r0, 0.0), _T_MAX, rtol, atol, max_step=0.2):
+        if x1 * x1 + y1 * y1 < r_min_sq:
+            raise EquilibriumCaptureError(t1, _R_MIN)
+        if y0 < 0.0 <= y1 and max(x0, x1) > _R_MIN:
+            tau, xc, _ = _bisect_crossing(deriv, t0, x0, y0, t1, rtol, atol)
+            if xc > _R_MIN:
+                return xc, tau
+    raise NoReturnError(_T_MAX)
+
+
+def poincare_return(system: PlanarSystem, r0: float) -> float:
+    """Abscissa of the first oriented return to the positive x-axis.
+
+    The tolerances, rtol 1e-14 and atol 1e-16, are tighter than the plain
+    integrator's: a repelling cycle amplifies per-step error by the
+    exponential of its positive multiplier over one period, so returning to
+    a known invariant circle within 1e-8 requires local error near the
+    rounding floor.  A return that takes longer than 1e3 time units raises
+    NoReturnError; a trajectory that comes within 1e-6 of the origin raises
+    EquilibriumCaptureError.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    if system.P.eval_at(0, 0) != 0 or system.Q.eval_at(0, 0) != 0:
-        raise ValueError("the section is anchored at the origin, which must "
-                         "be an equilibrium; translate the system first")
-    deriv = _compile_field(system)
-    r_min_sq = r_min * r_min
-    for (t0, x0, y0, t1, x1, y1) in _adaptive_steps(
-            deriv, (r0, 0.0), t_max, rtol, atol, max_step=0.2):
-        if x1 * x1 + y1 * y1 < r_min_sq:
-            raise EquilibriumCaptureError(t1, r_min)
-        if y0 < 0.0 <= y1 and max(x0, x1) > r_min:
-            tau, xc, _ = _bisect_crossing(deriv, t0, x0, y0, t1, rtol, atol)
-            if xc > r_min:
-                return xc, tau
-    raise NoReturnError(t_max)
-
-
-def poincare_return(
-    system: PlanarSystem,
-    r0: float,
-    *,
-    rtol: float = 1e-14,
-    atol: float = 1e-16,
-    t_max: float = 1e3,
-    r_min: float = 1e-6,
-) -> float:
-    """Abscissa of the first oriented return to the positive x-axis.
-
-    The default tolerances are tighter than the plain integrator's: a
-    repelling cycle amplifies per-step error by the exponential of its
-    positive multiplier over one period, so returning to a known invariant
-    circle within 1e-8 requires local error near the rounding floor.
-    """
-    xc, _ = _return_event(system, r0, rtol=rtol, atol=atol,
-                          t_max=t_max, r_min=r_min)
+    xc, _ = _return_event(_section_field(system), r0,
+                          _RETURN_RTOL, _RETURN_ATOL)
     return xc
 
 
 # --- displacement scan ----------------------------------------------------------
+
+# The scan integrates at the plain integrator's tolerances, and refines a
+# bracket until its displacement is below _D_TOL.
+_SCAN_RTOL = 1e-10
+_SCAN_ATOL = 1e-12
+_D_TOL = 1e-9
 
 _RETURN = "return"
 _OUTWARD = "outward"
@@ -586,11 +575,9 @@ class _Cell:
     note: str = ""
 
 
-def _evaluate_cell(system: PlanarSystem, r: float, *, rtol: float,
-                   atol: float, t_max: float, r_min: float) -> _Cell:
+def _evaluate_cell(deriv, r: float) -> _Cell:
     try:
-        r1, tau = _return_event(system, r, rtol=rtol, atol=atol,
-                                t_max=t_max, r_min=r_min)
+        r1, tau = _return_event(deriv, r, _SCAN_RTOL, _SCAN_ATOL)
     except DivergenceError as exc:
         lx, ly = exc.state
         if math.hypot(lx, ly) > r:
@@ -604,7 +591,7 @@ def _evaluate_cell(system: PlanarSystem, r: float, *, rtol: float,
     return _Cell(r, _RETURN, displacement=r1 - r, return_time=tau)
 
 
-def _cell_sign(cell: _Cell, d_tol: float) -> int | None:
+def _cell_sign(cell: _Cell) -> int | None:
     """Displacement sign for bracketing: +1, -1, 0 (tiny), None (unusable)."""
     if cell.kind == _OUTWARD:
         return 1
@@ -612,9 +599,9 @@ def _cell_sign(cell: _Cell, d_tol: float) -> int | None:
         return -1
     if cell.kind == _UNUSABLE:
         return None
-    if cell.displacement > d_tol:
+    if cell.displacement > _D_TOL:
         return 1
-    if cell.displacement < -d_tol:
+    if cell.displacement < -_D_TOL:
         return -1
     return 0
 
@@ -636,32 +623,29 @@ def find_cycles_numeric(
     system: PlanarSystem,
     r_range: tuple[float, float],
     n_scan: int,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    t_max: float = 1e3,
-    r_min: float = 1e-6,
-    d_tol: float = 1e-9,
 ) -> LimitCycleReport:
     """Scan the return-map displacement d(r) for sign changes.
 
-    The grid is geometric over the annulus.  Sign-change brackets are bisected
-    until |d| < d_tol or the bracket is narrower than 1e-12; a grid cell whose
-    trajectory blows up outward, or falls into the equilibrium, still carries
-    a usable displacement sign, so cycles bordering a blow-up region (any
-    repelling cycle of a field with fast far-field growth) are still found.
-    The center flag is set when every cell that did return moved by less than
-    1e-8, which is the continuum-of-periodic-orbits signature.
+    The grid is geometric over the annulus, and every return is integrated
+    at rtol 1e-10 and atol 1e-12 for at most 1e3 time units; a trajectory
+    that comes within 1e-6 of the origin counts as captured.  Sign-change
+    brackets are bisected until |d| < 1e-9 or the bracket is narrower than
+    1e-12; a grid cell whose trajectory blows up outward, or falls into the
+    equilibrium, still carries a usable displacement sign, so cycles
+    bordering a blow-up region (any repelling cycle of a field with fast
+    far-field growth) are still found.  The center flag is set when every
+    cell that did return moved by less than 1e-8, which is the
+    continuum-of-periodic-orbits signature.
     """
     lo, hi = sorted((float(r_range[0]), float(r_range[1])))
     if lo <= 0:
         raise ValueError("the scanned annulus must have positive inner radius")
     if n_scan < 2:
         raise ValueError("n_scan must be at least 2")
-    opts = dict(rtol=rtol, atol=atol, t_max=t_max, r_min=r_min)
+    deriv = _section_field(system)
     ratio = hi / lo
     cells = [
-        _evaluate_cell(system, lo * ratio ** (k / (n_scan - 1)), **opts)
+        _evaluate_cell(deriv, lo * ratio ** (k / (n_scan - 1)))
         for k in range(n_scan)
     ]
 
@@ -677,12 +661,12 @@ def find_cycles_numeric(
 
     cycles: list[Cycle] = []
     for left, right in zip(cells, cells[1:]):
-        s_left, s_right = _cell_sign(left, d_tol), _cell_sign(right, d_tol)
+        s_left, s_right = _cell_sign(left), _cell_sign(right)
         if s_left is None or s_right is None or s_left == 0 or s_right == 0:
             continue
         if s_left == s_right:
             continue
-        found = _bisect_bracket(system, left, right, s_left, d_tol, opts)
+        found = _bisect_bracket(deriv, left.r, right.r, s_left)
         if found is None:
             notes.append(f"bracket [{left.r:.6g}, {right.r:.6g}] could not "
                          "be refined (integration failed inside it)")
@@ -705,31 +689,25 @@ def find_cycles_numeric(
     return LimitCycleReport(tuple(deduped), center_flag, tuple(notes))
 
 
-def _bisect_bracket(
-    system: PlanarSystem,
-    left: _Cell,
-    right: _Cell,
-    s_left: int,
-    d_tol: float,
-    opts: dict,
-) -> Cycle | None:
-    """Shrink one sign-change bracket to a cycle radius."""
-    lo, hi = left.r, right.r
-    period = None
-    for cell in (left, right):
-        if cell.kind == _RETURN:
-            period = cell.return_time
+def _bisect_bracket(deriv, lo: float, hi: float, s_left: int) -> Cycle | None:
+    """Shrink one sign-change bracket to a cycle radius, then time it.
+
+    The period is one return from the refined radius in the field where the
+    cycle attracts: the field itself for a stable cycle, and for an unstable
+    one the field (-P(x, -y), Q(x, -y)), whose orbits are the mirror images
+    in the x-axis run backward in time.  That field turns the same way round
+    the origin and maps the positive x-axis to itself, so the cycle keeps its
+    crossing and period while repelling and attracting swap.
+    """
     for _ in range(200):
         if hi - lo < 1e-12:
             break
         mid = 0.5 * (lo + hi)
-        cell = _evaluate_cell(system, mid, **opts)
-        sign = _cell_sign(cell, d_tol)
-        if cell.kind == _RETURN:
-            period = cell.return_time
-            if abs(cell.displacement) < d_tol:
-                lo = hi = mid
-                break
+        cell = _evaluate_cell(deriv, mid)
+        if cell.kind == _RETURN and abs(cell.displacement) < _D_TOL:
+            lo = hi = mid
+            break
+        sign = _cell_sign(cell)
         if sign is None:
             return None
         if sign == s_left:
@@ -737,37 +715,18 @@ def _bisect_bracket(
         else:
             hi = mid
     r_star = 0.5 * (lo + hi)
-    note = ""
-    if period is None:
-        # no refinement step returned (every trial escaped or was captured),
-        # so time one return on the cycle itself: forward, then in the
-        # reflected, time-reversed field, which has the same cycle and period
-        # but the opposite stability
-        failures = []
-        for field in (system, _reflected_reversed(system)):
-            cell = _evaluate_cell(field, r_star, **opts)
-            if cell.kind == _RETURN:
-                period = cell.return_time
-                break
-            failures.append(cell.note)
-        else:
-            note = ("period unknown: the refined radius did not return "
-                    "forward (%s) or backward (%s)" % tuple(failures))
     stability = UNSTABLE if s_left < 0 else STABLE
-    return Cycle(radius=r_star, period=period, stability=stability,
-                 source=NUMERIC_POINCARE, note=note)
-
-
-def _reflected_reversed(system: PlanarSystem) -> PlanarSystem:
-    """The field (-P(x, -y), Q(x, -y)): orbits mirrored in the x-axis and run
-    backward in time.
-
-    It turns the same way round the origin and maps the positive x-axis to
-    itself, so a cycle keeps its crossing and period while repelling and
-    attracting swap.
-    """
-    mirror = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
-    origin = (Fraction(0), Fraction(0))
-    return PlanarSystem(-system.P.subs_linear(mirror, origin, system.varnames),
-                        system.Q.subs_linear(mirror, origin, system.varnames),
-                        system.varnames, system.label)
+    attracting = deriv
+    if stability == UNSTABLE:
+        def attracting(x, y):
+            p, q = deriv(x, -y)
+            return -p, q
+    timed = _evaluate_cell(attracting, r_star)
+    if timed.kind == _RETURN:
+        return Cycle(radius=r_star, period=timed.return_time,
+                     stability=stability, source=NUMERIC_POINCARE)
+    return Cycle(radius=r_star, period=None, stability=stability,
+                 source=NUMERIC_POINCARE,
+                 note=("period unknown: the refined radius did not return "
+                       "in the field where the cycle attracts (%s)"
+                       % timed.note))

@@ -17,7 +17,6 @@ derivatives prove the sign at every integer, with no walk over n.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,20 +122,6 @@ def contradiction_threshold(*, method: str = "scan") -> int:
                 "excess fails to persist at k=%d beyond threshold %d" % (k, threshold)
             )
     return threshold
-
-
-def _working_bits(bits: int | None) -> int:
-    if bits is not None:
-        if bits < 16:
-            raise ValueError("precision must be at least 16 bits, got %d" % bits)
-        return bits
-    env = os.environ.get("CCLAB_PRECISION_BITS")
-    if env:
-        value = int(env)
-        if value < 16:
-            raise ValueError("CCLAB_PRECISION_BITS must be at least 16, got %d" % value)
-        return value
-    return _DEFAULT_BITS
 
 
 class _Undecided(Exception):
@@ -283,7 +268,7 @@ def _certified_crossing(a: Fraction, b: Fraction, c: Fraction, bits: int) -> int
     return _first_positive(test(0), 0, _newton(a, b, c, 0, 0, bits))
 
 
-def log_bound_crossover(a, b, c, *, bits: int | None = None) -> int:
+def log_bound_crossover(a, b, c) -> int:
     """Smallest n such that (m+2)^2 * log2(m+2) / 2 > a*m^2 + b*m + c for
     every m >= n.
 
@@ -294,14 +279,14 @@ def log_bound_crossover(a, b, c, *, bits: int | None = None) -> int:
     of h, h' and h'' that pin the last integer with h <= 0 are proved with
     mpmath.iv interval enclosures (h is evaluated exactly where n+2 is a
     power of two, the only places it can vanish).  An enclosure that
-    straddles 0 doubles the precision, which starts at 80 bits unless
-    overridden by the bits argument or the CCLAB_PRECISION_BITS
-    environment variable; past 1280 bits ArithmeticError is raised.
+    straddles 0 doubles the precision, which starts at 80 bits; past 1280
+    bits ArithmeticError is raised.  Since the precision escalates until
+    every sign is decided, the starting value never changes the answer.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a < 0:
         raise ValueError("quadratic coefficient must be nonnegative, got %s" % a)
-    current = _working_bits(bits)
+    current = _DEFAULT_BITS
     saved = mpmath.iv.prec
     try:
         while True:
@@ -332,14 +317,12 @@ class GrowthRow:
     contradiction: bool
 
 
-def comparison_rows(k_hi: int, k_lo: int = 2) -> tuple[GrowthRow, ...]:
-    """Exact comparison table rows for k in [k_lo, k_hi]."""
-    if k_lo < 2:
-        raise ValueError("table starts at k >= 2, got %d" % k_lo)
-    if k_hi < k_lo:
-        raise ValueError("empty table range [%d, %d]" % (k_lo, k_hi))
+def comparison_rows(k_hi: int) -> tuple[GrowthRow, ...]:
+    """Exact comparison table rows for k in [2, k_hi]."""
+    if k_hi < 2:
+        raise ValueError("empty table range [2, %d]" % k_hi)
     rows = []
-    for k in range(k_lo, k_hi + 1):
+    for k in range(2, k_hi + 1):
         degree = 2 ** k - 1
         constructed = constructed_cycle_count(k)
         claimed = claimed_quadratic_bound(degree)

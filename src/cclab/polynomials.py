@@ -373,23 +373,24 @@ class Poly2:
         return format_poly2(self)
 
 
-def _dyadic_outward(
-    iv: tuple[Fraction, Fraction], bits: int = 128
-) -> tuple[Fraction, Fraction]:
-    """Round an interval's endpoints outward to denominator 2**bits.
+_DYADIC_BITS = 128
+
+
+def _dyadic_outward(iv: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """Round an interval's endpoints outward to denominator 2**128.
 
     Exact interval arithmetic grows endpoint fractions multiplicatively, so
     repeated Newton steps produce numbers with thousands of digits.  Rounding
     outward after each step, and before each box evaluation, keeps the
-    arithmetic cheap while widening the enclosure by at most 2**(1-bits), far
-    below the working widths here.  Endpoints with at most ``bits``-bit
+    arithmetic cheap while widening the enclosure by at most 2**-127, far
+    below the working widths here.  Endpoints with at most 128-bit
     denominators are returned unchanged.
     """
-    scale = 1 << bits
+    scale = 1 << _DYADIC_BITS
     lo, hi = iv
-    if lo.denominator.bit_length() > bits:
+    if lo.denominator.bit_length() > _DYADIC_BITS:
         lo = Fraction(math.floor(lo * scale), scale)
-    if hi.denominator.bit_length() > bits:
+    if hi.denominator.bit_length() > _DYADIC_BITS:
         hi = Fraction(math.ceil(hi * scale), scale)
     return (lo, hi)
 

@@ -340,13 +340,13 @@ def _refine(sqf: list[int], iv: RootInterval, width: Fraction) -> RootInterval:
 def isolate_real_roots(
     p: UniPoly,
     region: tuple[Fraction | None, Fraction | None] = (None, None),
-    width: Fraction = DEFAULT_WIDTH,
 ) -> RealRootReport:
     """Isolate the distinct real roots of p inside an open region.
 
     Works on the square-free part, so multiple roots appear once; use
     :func:`root_multiplicity` to recover multiplicities.  Each returned
-    interval has width below ``width`` unless the root was pinned exactly.
+    interval has width below ``DEFAULT_WIDTH`` unless the root was pinned
+    exactly.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -371,14 +371,14 @@ def isolate_real_roots(
     total = _chain_variations_at(chain, lo) - _chain_variations_at(chain, hi)
     found: list[RootInterval] = []
     _bisect_region(chain, sqf, lo, hi, total, found)
-    refined = [_refine(sqf, iv, width) for iv in found]
+    refined = [_refine(sqf, iv, DEFAULT_WIDTH) for iv in found]
     refined.sort(key=lambda iv: (iv.lo, iv.hi))
     return RealRootReport(p, region, tuple(refined))
 
 
-def positive_real_roots(p: UniPoly, width: Fraction = DEFAULT_WIDTH) -> RealRootReport:
+def positive_real_roots(p: UniPoly) -> RealRootReport:
     """Distinct real roots in the open interval (0, +oo)."""
-    return isolate_real_roots(p, (Fraction(0), None), width)
+    return isolate_real_roots(p, (Fraction(0), None))
 
 
 def refine_root(p: UniPoly, iv: RootInterval, width: Fraction) -> RootInterval:
@@ -407,18 +407,21 @@ def simplest_rational_between(a: Fraction, b: Fraction) -> Fraction:
     return n + 1 / inner
 
 
-def rational_root_in(p: UniPoly, iv: RootInterval,
-                     probe_width: Fraction = Fraction(1, 10**24)) -> Fraction | None:
+_PROBE_WIDTH = Fraction(1, 10**24)
+
+
+def rational_root_in(p: UniPoly, iv: RootInterval) -> Fraction | None:
     """Detect whether the root isolated by ``iv`` is a (small) rational.
 
-    Refines the interval, then tests the simplest rational inside it by exact
-    evaluation.  Returns the rational root, or None when the root is
-    irrational or has a denominator too large to surface at this width.
+    Refines the interval to width 1e-24, then tests the simplest rational
+    inside it by exact evaluation.  Returns the rational root, or None when
+    the root is irrational or has a denominator too large to surface at
+    this width.
     """
     if iv.exact is not None:
         return iv.exact
     sqf = square_free_part(p)
-    tight = _refine(_to_int_poly(sqf), iv, probe_width)
+    tight = _refine(_to_int_poly(sqf), iv, _PROBE_WIDTH)
     if tight.exact is not None:
         return tight.exact
     candidate = simplest_rational_between(tight.lo, tight.hi)

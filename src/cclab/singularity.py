@@ -23,7 +23,7 @@ reported as unresolved rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .curvature import (
@@ -41,6 +41,7 @@ from .realroots import (
     count_real_roots,
     isolate_real_roots,
     refine_root,
+    simplest_rational_between,
     unipoly_gcd,
 )
 from .systems import PlanarSystem
@@ -319,11 +320,7 @@ def _newton_contract(
     return ix, iy
 
 
-def real_solutions_2x2(
-    f: Poly2,
-    g: Poly2,
-    width: Fraction = DEFAULT_WIDTH,
-) -> BranchSolutions:
+def real_solutions_2x2(f: Poly2, g: Poly2) -> BranchSolutions:
     """All real common zeros of two bivariate polynomials, certified.
 
     The outcome is one of: EMPTY_CERTIFIED (eliminant in some direction is
@@ -384,8 +381,8 @@ def real_solutions_2x2(
             notes=("a resultant vanishes identically: the pair shares a "
                    "factor, so the common zero set is not finite",))
 
-    roots_a = isolate_real_roots(eliminant_a, width=width)
-    roots_b = isolate_real_roots(eliminant_b, width=width)
+    roots_a = isolate_real_roots(eliminant_a)
+    roots_b = isolate_real_roots(eliminant_b)
 
     if roots_a.count == 0 or roots_b.count == 0:
         empty_dir = a if roots_a.count == 0 else b
@@ -404,7 +401,7 @@ def real_solutions_2x2(
         for ivx in roots_a.intervals:
             for ivy in roots_b.intervals:
                 outcome = _certify_cell(
-                    f, g, partials, ivx, ivy, eliminant_a, eliminant_b, width)
+                    f, g, partials, ivx, ivy, eliminant_a, eliminant_b)
                 if outcome is None:
                     continue
                 kind, box = outcome
@@ -436,7 +433,6 @@ def _certify_cell(
     ivy: RootInterval,
     eliminant_a: UniPoly,
     eliminant_b: UniPoly,
-    width: Fraction,
 ) -> tuple[str, PointBox] | None:
     """Settle one candidate cell: ("point", box), ("unresolved", box), or None.
 
@@ -445,7 +441,7 @@ def _certify_cell(
     collapse one to a rational, and the cell is retried, at most five times.
     """
     a, b = f.varnames
-    shrink_width = width
+    shrink_width = DEFAULT_WIDTH
     attempts = 0
     while True:
         if ivx.exact is not None and ivy.exact is not None:
@@ -466,7 +462,7 @@ def _certify_cell(
         if verdict == "rejected":
             return None
         if verdict == "certified":
-            nx, ny = _newton_contract(f, g, partials, nx, ny, width)
+            nx, ny = _newton_contract(f, g, partials, nx, ny, DEFAULT_WIDTH)
             return ("point", PointBox(RootInterval(nx[0], nx[1]),
                                       RootInterval(ny[0], ny[1])))
         shrink_width = shrink_width * shrink_width
@@ -477,10 +473,7 @@ def _certify_cell(
 # --- singular locus of |R| -----------------------------------------------------
 
 
-def singular_locus(
-    curv: CurvatureData,
-    width: Fraction = DEFAULT_WIDTH,
-) -> SingularLocusReport:
+def singular_locus(curv: CurvatureData) -> SingularLocusReport:
     """Decompose the real zero set of the curvature denominator.
 
     The determinant is a product of two sums of squares, so its zeros are the
@@ -496,7 +489,7 @@ def singular_locus(
     unresolved: list[PointBox] = []
     notes: list[str] = []
     for idx, (first, second) in enumerate(subsystems):
-        bs = real_solutions_2x2(first, second, width=width)
+        bs = real_solutions_2x2(first, second)
         branch_results.append(bs)
         if bs.status == DEGENERATE_BRANCH:
             notes.append(f"subsystem {idx}: degenerate branch ({bs.notes[0]})")
@@ -581,14 +574,10 @@ def _merge_across_branches(
     merged: list[tuple[PointBox, tuple[int, ...]]] = []
     for box, indices in sorted(located, key=lambda t: (t[0].x.lo, t[0].y.lo)):
         for i, (kept, kept_idx) in enumerate(merged):
-            if box.is_exact and kept.is_exact:
-                same = (box.x.exact == kept.x.exact
-                        and box.y.exact == kept.y.exact)
-            else:
-                # boxes are certified isolating enclosures; overlap is
-                # treated as identity (each encloses exactly one zero)
-                same = box.overlaps(kept)
-            if same:
+            # boxes are certified isolating enclosures, so overlap is
+            # identity (each encloses exactly one zero); an exact point's box
+            # is the point itself, so for two of them overlap is equality
+            if box.overlaps(kept):
                 merged[i] = (kept, tuple(sorted(set(kept_idx + indices))))
                 break
         else:
@@ -597,7 +586,11 @@ def _merge_across_branches(
 
 
 def _symmetric_pair_count(points: list[DivergencePoint]) -> int:
-    """Count unordered pairs {p, -p} among certified divergence points."""
+    """Count unordered pairs {p, -p} among certified divergence points.
+
+    A point matches when its box overlaps the other's reflection; for two
+    exact points, whose boxes are the points themselves, that is q == -p.
+    """
     used: set[int] = set()
     count = 0
     for i, p in enumerate(points):
@@ -609,13 +602,7 @@ def _symmetric_pair_count(points: list[DivergencePoint]) -> int:
         for j in range(i + 1, len(points)):
             if j in used or not points[j].numerator_nonzero:
                 continue
-            q = points[j]
-            if p.box.is_exact and q.box.is_exact:
-                match = (q.box.x.exact == -p.box.x.exact
-                         and q.box.y.exact == -p.box.y.exact)
-            else:
-                match = q.box.overlaps(refl)
-            if match:
+            if points[j].box.overlaps(refl):
                 used.add(i)
                 used.add(j)
                 count += 1
@@ -656,18 +643,32 @@ def verify_equilibrium(
     return EquilibriumCertificate((px, py), p_val, q_val, r_outcome)
 
 
-def find_equilibria(system: PlanarSystem,
-                    width: Fraction = DEFAULT_WIDTH) -> BranchSolutions:
+def find_equilibria(system: PlanarSystem) -> BranchSolutions:
     """Certified equilibria (common zeros of the two components).
 
+    A box whose simplest rational point is an equilibrium is replaced by that
+    exact point: the box isolates exactly one zero, so a hit is that zero.
     Raises ValueError when the equilibrium set is not zero-dimensional,
     since none of the downstream criteria are meaningful then.
     """
-    result = real_solutions_2x2(system.P, system.Q, width=width)
+    result = real_solutions_2x2(system.P, system.Q)
     if result.status == DEGENERATE_BRANCH:
         raise ValueError(
             "equilibrium set is not zero-dimensional: " + "; ".join(result.notes))
-    return result
+    points = sorted((_pinned(system, box) for box in result.points),
+                    key=lambda pb: (pb.x.lo, pb.y.lo))
+    return replace(result, points=tuple(points))
+
+
+def _pinned(system: PlanarSystem, box: PointBox) -> PointBox:
+    """The exact equilibrium at the box's simplest rational point, if any."""
+    if box.is_exact:
+        return box
+    px = simplest_rational_between(box.x.lo, box.x.hi)
+    py = simplest_rational_between(box.y.lo, box.y.hi)
+    if not system.is_equilibrium(px, py):
+        return box
+    return PointBox(RootInterval(px, px, px), RootInterval(py, py, py))
 
 
 def sign_of_R_near_equilibrium(

@@ -117,8 +117,13 @@ def test_analyze_center_system(analyses):
     assert "no limit cycle exists" in report.verdict
 
 
-def test_analyze_without_scan(catalogue):
-    report = analyze(catalogue["s1"].system, scan=False)
+def test_analyze_without_scan(catalogue, monkeypatch):
+    def unavailable(*args):
+        raise ValueError("scan unavailable")
+
+    monkeypatch.setattr(cclab.analysis, "find_cycles_numeric", unavailable)
+    report = analyze(catalogue["s1"].system)
+    assert "numeric cycle scan skipped: scan unavailable" in report.notes
     assert report.cycles_numeric is None
     assert report.cycles_exact.cycle_count == 1
     # the preferred report falls back to the exact one
@@ -137,11 +142,28 @@ def test_analyze_certifies_each_equilibrium_once(monkeypatch):
     monkeypatch.setattr(cclab.singularity, "verify_equilibrium", counting)
     # exact equilibria at (+-1, 0)
     system = parse_system("vars: x y\ndx = y\ndy = x^2 - 1\n")
-    report = analyze(system, scan=False)
+    report = analyze(system)
     assert len(report.equilibria) == 2
     assert sorted(calls) == sorted(cert.point for cert in report.equilibria)
     assert [point for point, _ in report.assertions.equilibrium_signs] == [
         cert.point for cert in report.equilibria]
+
+
+def test_analyze_pins_rational_equilibria_of_a_double_well():
+    system = parse_system("vars: x y\ndx = y\ndy = x - x^3\n")
+    report = analyze(system)
+    assert sorted(cert.point for cert in report.equilibria) == [
+        (-1, 0), (0, 0), (1, 0)]
+    assert all(cert.valid for cert in report.equilibria)
+    assert not any("irrational enclosure" in note for note in report.notes)
+
+
+def test_analyze_pins_rational_equilibria_off_the_axes():
+    system = parse_system("vars: x y\ndx = x*(1 - x)\ndy = y*(1 - y)\n")
+    report = analyze(system)
+    assert sorted(cert.point for cert in report.equilibria) == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
+    assert not any("irrational enclosure" in note for note in report.notes)
 
 
 def test_analyze_skips_scan_off_origin():

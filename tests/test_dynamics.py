@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cclab import dynamics
 from cclab.dynamics import (
     EXACT_RADIAL,
     NUMERIC_POINCARE,
@@ -101,6 +102,18 @@ def test_exact_cycles_semi_stable_double_root():
     cycle = report.cycles[0]
     assert cycle.stability == SEMI_STABLE
     assert "multiplicity 2" in cycle.note
+
+
+def test_exact_cycles_root_above_a_vanishing_region_edge():
+    """f = s(s - 1) vanishes at the region edge 0 just below its only
+    positive root, so stability must come from the sign above the root."""
+    report = exact_radial_cycles(
+        detect_radial_form(rigid("(x^2 + y^2)*(x^2 + y^2 - 1)")))
+    assert report.cycle_count == 1
+    cycle = report.cycles[0]
+    assert cycle.stability == UNSTABLE
+    assert cycle.radius_interval.exact == 1
+    assert cycle.note == ""
 
 
 def test_exact_cycles_require_matched_form(catalogue):
@@ -199,16 +212,18 @@ def test_return_requires_positive_start(catalogue):
         poincare_return(catalogue["s1"].system, -1.0)
 
 
-def test_no_return_error():
+def test_no_return_error(monkeypatch):
+    monkeypatch.setattr(dynamics, "_T_MAX", 5.0)
     runaway = parse_system("vars: x y\ndx = x\ndy = 0\n")
     with pytest.raises(NoReturnError):
-        poincare_return(runaway, 1.0, t_max=5.0)
+        poincare_return(runaway, 1.0)
 
 
-def test_equilibrium_capture_error():
+def test_equilibrium_capture_error(monkeypatch):
+    monkeypatch.setattr(dynamics, "_R_MIN", 1e-3)
     sink = rigid("-1")
     with pytest.raises(EquilibriumCaptureError) as exc:
-        poincare_return(sink, 0.5, r_min=1e-3)
+        poincare_return(sink, 0.5)
     assert exc.value.r_min <= 1e-3
 
 
@@ -282,6 +297,20 @@ def test_scan_times_a_strongly_repelling_cycle_backward():
     assert cycle.stability == UNSTABLE
     assert abs(cycle.period - TWO_PI) < 1e-6
     assert cycle.note == ""
+
+
+def test_scan_compiles_the_field_once(catalogue, monkeypatch):
+    calls = []
+    compile_field = dynamics._compile_field
+
+    def counting(system):
+        calls.append(system)
+        return compile_field(system)
+
+    monkeypatch.setattr(dynamics, "_compile_field", counting)
+    report = find_cycles_numeric(catalogue["s1a"].system, (0.25, 4.0), 16)
+    assert report.cycle_count == 2
+    assert len(calls) == 1
 
 
 def test_scan_period_unknown_when_no_return_is_timed(no_timed_returns):

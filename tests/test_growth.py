@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from cclab import growth
 from cclab.growth import (
     claimed_quadratic_bound,
     comparison_rows,
@@ -105,9 +106,7 @@ def test_comparison_rows():
     first_contradiction = next(row.k for row in rows if row.contradiction)
     assert first_contradiction == 35
     with pytest.raises(ValueError):
-        comparison_rows(5, k_lo=1)
-    with pytest.raises(ValueError):
-        comparison_rows(3, k_lo=10)
+        comparison_rows(1)
 
 
 def test_render_comparison():
@@ -143,16 +142,9 @@ def test_crossover_rejects_negative_leading_coefficient():
         log_bound_crossover(-1, 0, 0)
 
 
-def test_crossover_stable_across_precision():
-    assert log_bound_crossover(8, 0, 0, bits=320) == 65490
-
-
-def test_crossover_env_override(monkeypatch):
-    monkeypatch.setenv("CCLAB_PRECISION_BITS", "200")
+def test_crossover_stable_across_precision(monkeypatch):
+    monkeypatch.setattr(growth, "_DEFAULT_BITS", 320)
     assert log_bound_crossover(8, 0, 0) == 65490
-    monkeypatch.setenv("CCLAB_PRECISION_BITS", "not a number")
-    with pytest.raises(ValueError):
-        log_bound_crossover(8, 0, 0)
 
 
 def test_crossover_boundary_with_independent_precision():
@@ -208,9 +200,10 @@ def test_crossover_exact_zero_counts_as_not_above():
     assert log_bound_crossover(0, 0, 16 + tiny) == 3
 
 
-def test_crossover_escalates_from_a_low_starting_precision():
-    assert log_bound_crossover(8, 0, 0, bits=16) == 65490
-    assert log_bound_crossover(10, 0, 0, bits=16) == 1048519
+def test_crossover_escalates_from_a_low_starting_precision(monkeypatch):
+    monkeypatch.setattr(growth, "_DEFAULT_BITS", 16)
+    assert log_bound_crossover(8, 0, 0) == 65490
+    assert log_bound_crossover(10, 0, 0) == 1048519
 
 
 def test_crossover_out_of_reach_raises():

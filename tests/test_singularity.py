@@ -8,6 +8,7 @@ import pytest
 from cclab.curvature import INDETERMINATE, SINGULAR, scalar_curvature
 from cclab.parsing import parse_system
 from cclab.polynomials import Poly2
+from cclab.realroots import RootInterval
 from cclab.singularity import (
     A_FAILS_NO_SINGULARITY,
     A_FAILS_R_NEGATIVE,
@@ -17,6 +18,10 @@ from cclab.singularity import (
     NEGATIVE_NEIGHBORHOOD,
     POINTS,
     POSITIVE_NEIGHBORHOOD,
+    DivergencePoint,
+    PointBox,
+    _merge_across_branches,
+    _symmetric_pair_count,
     assertion_report,
     find_equilibria,
     real_solutions_2x2,
@@ -231,6 +236,44 @@ def test_branch_relabeling_does_not_change_the_count(curvatures):
     assert (a.certified_divergence_count
             == b.certified_divergence_count == 1)
     assert len(a.divergence_points) == len(b.divergence_points)
+
+
+def _exact_box(x, y):
+    x, y = Fraction(x), Fraction(y)
+    return PointBox(RootInterval(x, x, x), RootInterval(y, y, y))
+
+
+def _box(x_lo, x_hi, y_lo, y_hi):
+    return PointBox(RootInterval(Fraction(x_lo), Fraction(x_hi)),
+                    RootInterval(Fraction(y_lo), Fraction(y_hi)))
+
+
+def test_symmetric_pair_of_exact_points():
+    points = [DivergencePoint(_exact_box(1, 2), True, (0,)),
+              DivergencePoint(_exact_box(-1, -2), True, (1,))]
+    assert _symmetric_pair_count(points) == 1
+
+
+def test_symmetric_pair_of_overlapping_boxes():
+    third = Fraction(1, 3)
+    points = [DivergencePoint(_box(third, third + Fraction(1, 100),
+                                   -1, -1 + Fraction(1, 100)), True, (0,)),
+              DivergencePoint(_box(-third - Fraction(1, 50), -third,
+                                   1 - Fraction(1, 50), 1), True, (0,))]
+    assert _symmetric_pair_count(points) == 1
+
+
+def test_origin_is_not_a_symmetric_pair():
+    points = [DivergencePoint(_exact_box(0, 0), True, (0,))]
+    assert _symmetric_pair_count(points) == 0
+
+
+def test_merge_joins_one_exact_point_found_by_two_branches():
+    merged = _merge_across_branches([(_exact_box(Fraction(1, 2), -3), (1,)),
+                                     (_exact_box(Fraction(1, 2), -3), (0,)),
+                                     (_exact_box(2, 0), (0,))])
+    assert merged == [(_exact_box(Fraction(1, 2), -3), (0, 1)),
+                      (_exact_box(2, 0), (0,))]
 
 
 # --- equilibria --------------------------------------------------------------------
