@@ -204,14 +204,18 @@ def _cancel_metric_factors(numerator: Poly2, g11: Poly2, g22: Poly2) -> ReducedF
     return ReducedForm(RationalFunction(num, den), (exponents[0], exponents[1]))
 
 
-def numeric_curvature_probe(system: PlanarSystem, px: float, py: float,
-                            step: float = 1e-5) -> float:
+# Central-difference step of numeric_curvature_probe.
+_PROBE_STEP = 1e-5
+
+
+def numeric_curvature_probe(system: PlanarSystem, px: float,
+                            py: float) -> float:
     """Curvature at a point by central differences on the divergence form.
 
     Independent of the rational expansion: only the metric entries and their
     first derivatives are taken symbolically; the outer derivatives of
-    d(g22)/dx / sqrt(W) and d(g11)/dy / sqrt(W) are numeric.  Used to
-    cross-check the exact formula, not for production values.
+    d(g22)/dx / sqrt(W) and d(g11)/dy / sqrt(W) are numeric, with step 1e-5.
+    Used to cross-check the exact formula, not for production values.
     """
     a, b = system.varnames
     metric = metric_components(system)
@@ -244,6 +248,7 @@ def numeric_curvature_probe(system: PlanarSystem, px: float, py: float,
     w0 = as_float(det, px, py)
     if w0 <= 0:
         raise ValueError(f"metric determinant is not positive at ({px}, {py})")
+    step = _PROBE_STEP
     div = ((ratio_x(px + step, py) - ratio_x(px - step, py)) / (2 * step)
            + (ratio_y(px, py + step) - ratio_y(px, py - step)) / (2 * step))
     return div / math.sqrt(w0)

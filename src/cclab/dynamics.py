@@ -58,6 +58,16 @@ class NoReturnError(RuntimeError):
         super().__init__(f"no return to the section within t_max={t_max:g}")
 
 
+class StepBudgetError(RuntimeError):
+    """The integrator spent its budget of trial steps (a stiff stretch)."""
+
+    def __init__(self, budget: int, t: float):
+        self.budget = budget
+        self.t = t
+        super().__init__(
+            f"trial-step budget of {budget} spent at t={t:.6g}")
+
+
 class EquilibriumCaptureError(RuntimeError):
     """The trajectory fell inside the r_min disc around the equilibrium."""
 
@@ -147,13 +157,15 @@ def _adaptive_steps(
     rtol: float,
     atol: float,
     max_step: float | None = None,
+    max_trials: int | None = None,
     stats: list | None = None,
 ) -> Iterator[tuple[float, float, float, float, float, float]]:
     """Yield accepted steps (t0, x0, y0, t1, x1, y1) up to t_end.
 
     Raises DivergenceError when the controller underflows the step size or a
     coordinate leaves [-1e12, 1e12], both of which signal finite-time blow-up
-    for polynomial fields.
+    for polynomial fields, and StepBudgetError once ``max_trials`` trial
+    steps, accepted plus rejected, have been spent.
     """
     t = 0.0
     x, y = float(start[0]), float(start[1])
@@ -168,6 +180,8 @@ def _adaptive_steps(
                 # the span is complete up to rounding: t + h can land a few
                 # ulps short of t_end, and that residue is not a blow-up
                 break
+            if max_trials is not None and accepted + rejected >= max_trials:
+                raise StepBudgetError(max_trials, t)
             h = min(h, remaining)
             if h < 1e-14 * max(1.0, abs(t)):
                 raise DivergenceError(t, (x, y))
@@ -459,9 +473,12 @@ def exact_radial_cycles(form: RadialForm) -> LimitCycleReport:
 
 # --- Poincare return map on the positive x-axis --------------------------------
 
-# One return is abandoned after _T_MAX time units, and a trajectory that
+# One return is abandoned after _T_MAX time units or _RETURN_STEPS trial
+# steps, accepted plus rejected (near a stiff node the step controller can
+# otherwise reject millions of steps before _T_MAX), and a trajectory that
 # comes within _R_MIN of the origin counts as captured by the equilibrium.
 _T_MAX = 1e3
+_RETURN_STEPS = 20_000
 _R_MIN = 1e-6
 # poincare_return's tolerances; its docstring says why they are this tight
 _RETURN_RTOL = 1e-14
@@ -478,39 +495,37 @@ def _section_field(
     return _compile_field(system)
 
 
-def _state_at(deriv, x0: float, y0: float, span: float,
-              rtol: float, atol: float) -> tuple[float, float]:
-    """Integrate a short span from (x0, y0) and return the final state."""
-    x, y = x0, y0
-    for (_, _, _, _, x, y) in _adaptive_steps(deriv, (x0, y0), span,
-                                              rtol, atol):
-        pass
-    return x, y
+def _solve_crossing(deriv, x0: float, y0: float, h: float,
+                    y1: float) -> tuple[float, float]:
+    """Offset tau in [0, h] and abscissa where an accepted step meets y = 0.
 
-
-def _bisect_crossing(
-    deriv, t0: float, x0: float, y0: float, t1: float,
-    rtol: float, atol: float,
-) -> tuple[float, float, float]:
-    """Locate the y=0 crossing time inside an accepted step by bisection.
-
-    The step start (t0, x0, y0) has y0 < 0 and the step end has y >= 0; the
-    crossing time is narrowed to 1e-12 by re-integrating from the stored
-    step start, then the state at the midpoint is returned.
+    The step of size h from (x0, y0) has y0 < 0 and ends at y1 >= 0.  The
+    first estimate interpolates y linearly; each Newton step
+    tau <- tau - y(tau)/Q then evaluates y(tau) with one RKF45 sub-step of
+    size tau from the stored step start, which is at least as accurate as
+    the accepted step.  The sign bracket [lo, hi] is kept, and a Newton
+    step that leaves it falls back to the bracket midpoint.  The solve stops
+    once tau moves by less than 1e-12 or the bracket is narrower than that.
     """
-    lo, hi = 0.0, t1 - t0
+    lo, hi = 0.0, h
+    tau = h * y0 / (y0 - y1)
     for _ in range(200):
-        if hi - lo < 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        _, ym = _state_at(deriv, x0, y0, mid, rtol, atol)
-        if ym < 0.0:
-            lo = mid
+        nx, ny, ex, ey = _rkf45_step(deriv, x0, y0, tau)
+        x, y = nx + ex, ny + ey
+        if y < 0.0:
+            lo = tau
         else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    xc, yc = _state_at(deriv, x0, y0, tau, rtol, atol)
-    return t0 + tau, xc, yc
+            hi = tau
+        q = deriv(x, y)[1]
+        nxt = tau - y / q if q > 0.0 else math.nan
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - tau) < 1e-12 or hi - lo < 1e-12
+        tau = nxt
+        if done:
+            break
+    nx, _, ex, _ = _rkf45_step(deriv, x0, y0, tau)
+    return tau, nx + ex
 
 
 def _return_event(deriv, r0: float, rtol: float,
@@ -520,17 +535,19 @@ def _return_event(deriv, r0: float, rtol: float,
     The section is {y = 0, x > _R_MIN} oriented upward: a crossing counts
     when y passes from negative to nonnegative.  Starting on the section
     itself is fine, since the start has y = 0 exactly and the test needs
-    y < 0 first.
+    y < 0 first.  The crossing is solved inside the accepted step that
+    contains it (see _solve_crossing), so the return is integrated once.
     """
     r_min_sq = _R_MIN * _R_MIN
     for (t0, x0, y0, t1, x1, y1) in _adaptive_steps(
-            deriv, (r0, 0.0), _T_MAX, rtol, atol, max_step=0.2):
+            deriv, (r0, 0.0), _T_MAX, rtol, atol, max_step=0.2,
+            max_trials=_RETURN_STEPS):
         if x1 * x1 + y1 * y1 < r_min_sq:
             raise EquilibriumCaptureError(t1, _R_MIN)
         if y0 < 0.0 <= y1 and max(x0, x1) > _R_MIN:
-            tau, xc, _ = _bisect_crossing(deriv, t0, x0, y0, t1, rtol, atol)
+            tau, xc = _solve_crossing(deriv, x0, y0, t1 - t0, y1)
             if xc > _R_MIN:
-                return xc, tau
+                return xc, t0 + tau
     raise NoReturnError(_T_MAX)
 
 
@@ -542,7 +559,8 @@ def poincare_return(system: PlanarSystem, r0: float) -> float:
     exponential of its positive multiplier over one period, so returning to
     a known invariant circle within 1e-8 requires local error near the
     rounding floor.  A return that takes longer than 1e3 time units raises
-    NoReturnError; a trajectory that comes within 1e-6 of the origin raises
+    NoReturnError, one that spends 20000 trial steps raises StepBudgetError,
+    and a trajectory that comes within 1e-6 of the origin raises
     EquilibriumCaptureError.
     """
     if r0 <= 0:
@@ -586,7 +604,7 @@ def _evaluate_cell(deriv, r: float) -> _Cell:
         return _Cell(r, _UNUSABLE, note=str(exc))
     except EquilibriumCaptureError:
         return _Cell(r, _INWARD, note="spiralled into the equilibrium")
-    except NoReturnError as exc:
+    except (NoReturnError, StepBudgetError) as exc:
         return _Cell(r, _UNUSABLE, note=str(exc))
     return _Cell(r, _RETURN, displacement=r1 - r, return_time=tau)
 
@@ -627,13 +645,14 @@ def find_cycles_numeric(
     """Scan the return-map displacement d(r) for sign changes.
 
     The grid is geometric over the annulus, and every return is integrated
-    at rtol 1e-10 and atol 1e-12 for at most 1e3 time units; a trajectory
-    that comes within 1e-6 of the origin counts as captured.  Sign-change
-    brackets are bisected until |d| < 1e-9 or the bracket is narrower than
-    1e-12; a grid cell whose trajectory blows up outward, or falls into the
-    equilibrium, still carries a usable displacement sign, so cycles
-    bordering a blow-up region (any repelling cycle of a field with fast
-    far-field growth) are still found.  The center flag is set when every
+    at rtol 1e-10 and atol 1e-12 for at most 1e3 time units and 20000 trial
+    steps; a trajectory that comes within 1e-6 of the origin counts as
+    captured.  Each sign-change bracket is refined in the field where its
+    cycle attracts (see _refine_bracket) until |d| < 1e-9 or the bracket is
+    narrower than 1e-12.  A grid cell whose trajectory blows up outward, or
+    falls into the equilibrium, still carries a usable displacement sign, so
+    cycles bordering a blow-up region (any repelling cycle of a field with
+    fast far-field growth) are still found.  The center flag is set when every
     cell that did return moved by less than 1e-8, which is the
     continuum-of-periodic-orbits signature.
     """
@@ -666,7 +685,7 @@ def find_cycles_numeric(
             continue
         if s_left == s_right:
             continue
-        found = _bisect_bracket(deriv, left.r, right.r, s_left)
+        found = _refine_bracket(deriv, left.r, right.r, s_left)
         if found is None:
             notes.append(f"bracket [{left.r:.6g}, {right.r:.6g}] could not "
                          "be refined (integration failed inside it)")
@@ -689,38 +708,57 @@ def find_cycles_numeric(
     return LimitCycleReport(tuple(deduped), center_flag, tuple(notes))
 
 
-def _bisect_bracket(deriv, lo: float, hi: float, s_left: int) -> Cycle | None:
-    """Shrink one sign-change bracket to a cycle radius, then time it.
+def _refine_bracket(deriv, lo: float, hi: float, s_left: int) -> Cycle | None:
+    """Refine one sign-change bracket to a cycle radius and its period.
 
-    The period is one return from the refined radius in the field where the
-    cycle attracts: the field itself for a stable cycle, and for an unstable
-    one the field (-P(x, -y), Q(x, -y)), whose orbits are the mirror images
-    in the x-axis run backward in time.  That field turns the same way round
-    the origin and maps the positive x-axis to itself, so the cycle keeps its
-    crossing and period while repelling and attracting swap.
+    The work is done in the field where the cycle attracts: the field itself
+    for a stable cycle, and for an unstable one the field (-P(x, -y),
+    Q(x, -y)), whose orbits are the mirror images in the x-axis run backward
+    in time.  That field turns the same way round the origin and maps the
+    positive x-axis to itself, so the cycle keeps its crossing and period
+    while repelling and attracting swap.  There d(r) = P(r) - r is positive
+    at lo, negative at hi and smooth with slope in (-1, 0) near the cycle.
+
+    The first radius is the bracket midpoint, the second its image point
+    r + d(r), and each later one the secant through the last two returns.
+    The sign bracket is kept, and a candidate outside it, or one after an
+    evaluation with no return, falls back to the bracket midpoint.  The
+    first return with |d| < _D_TOL gives the radius, and its return time is
+    the period.  A bracket that narrows below 1e-12 first ends at its
+    midpoint, which is timed by one more return.
     """
-    for _ in range(200):
-        if hi - lo < 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        cell = _evaluate_cell(deriv, mid)
-        if cell.kind == _RETURN and abs(cell.displacement) < _D_TOL:
-            lo = hi = mid
-            break
-        sign = _cell_sign(cell)
-        if sign is None:
-            return None
-        if sign == s_left:
-            lo = mid
-        else:
-            hi = mid
-    r_star = 0.5 * (lo + hi)
     stability = UNSTABLE if s_left < 0 else STABLE
     attracting = deriv
     if stability == UNSTABLE:
         def attracting(x, y):
             p, q = deriv(x, -y)
             return -p, q
+    r = 0.5 * (lo + hi)
+    last = None
+    for _ in range(200):
+        cell = _evaluate_cell(attracting, r)
+        if cell.kind == _RETURN and abs(cell.displacement) < _D_TOL:
+            return Cycle(radius=r, period=cell.return_time,
+                         stability=stability, source=NUMERIC_POINCARE)
+        sign = _cell_sign(cell)
+        if sign is None:
+            return None
+        if sign > 0:
+            lo = r
+        else:
+            hi = r
+        if hi - lo < 1e-12:
+            break
+        nxt = math.nan
+        if cell.kind == _RETURN:
+            d = cell.displacement
+            if last is None:
+                nxt = r + d
+            elif d != last[1]:
+                nxt = r - d * (r - last[0]) / (d - last[1])
+            last = (r, d)
+        r = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    r_star = 0.5 * (lo + hi)
     timed = _evaluate_cell(attracting, r_star)
     if timed.kind == _RETURN:
         return Cycle(radius=r_star, period=timed.return_time,

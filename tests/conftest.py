@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -47,16 +45,16 @@ def analyses(catalogue):
 
 @pytest.fixture
 def no_timed_returns(monkeypatch):
-    """Make every return-map evaluation that returns unusable instead, so a
-    cycle bracketed only by escaping and captured trajectories gets no
-    period."""
+    """Turn every return-map evaluation that returns into a sign-only cell,
+    outward or inward by the sign of its displacement, so brackets still
+    refine but no cycle gets a period."""
     evaluate = dynamics._evaluate_cell
 
     def without_returns(*args, **kwargs):
         cell = evaluate(*args, **kwargs)
         if cell.kind != dynamics._RETURN:
             return cell
-        return dataclasses.replace(cell, kind=dynamics._UNUSABLE,
-                                   note="return suppressed")
+        kind = dynamics._OUTWARD if cell.displacement > 0 else dynamics._INWARD
+        return dynamics._Cell(cell.r, kind, note="return suppressed")
 
     monkeypatch.setattr(dynamics, "_evaluate_cell", without_returns)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,18 @@ def test_no_return_error(monkeypatch):
         poincare_return(runaway, 1.0)
 
 
+@pytest.mark.parametrize("r0", [0.3, 1.0, 3.7])
+def test_return_event_of_the_linear_rotation(r0):
+    """Every orbit of dx = -y, dy = x is a circle run in time 2*pi, so the
+    crossing solve must land on the start to the return tolerances."""
+    deriv = dynamics._section_field(
+        parse_system("vars: x y\ndx = -y\ndy = x\n"))
+    xc, tc = dynamics._return_event(deriv, r0, dynamics._RETURN_RTOL,
+                                    dynamics._RETURN_ATOL)
+    assert abs(xc - r0) < 1e-12
+    assert abs(tc - TWO_PI) < 1e-12
+
+
 def test_equilibrium_capture_error(monkeypatch):
     monkeypatch.setattr(dynamics, "_R_MIN", 1e-3)
     sink = rigid("-1")
@@ -286,10 +299,11 @@ def test_scan_survives_float_overflow_in_the_field():
 
 
 def test_scan_times_a_strongly_repelling_cycle_backward():
-    """Radius^2 = 5: the cycle's multiplier is e^(20*pi), so every grid cell
-    and bisection midpoint escapes or is captured before returning, and so
-    does the refined radius.  The reflected, time-reversed field makes the
-    cycle attracting and times its period."""
+    """Radius^2 = 5: the cycle's multiplier is e^(20*pi), so in the forward
+    field every grid cell near it escapes or is captured before returning.
+    The bracket is refined in the reflected, time-reversed field, where the
+    cycle attracts, and the return that meets the tolerance times the
+    period."""
     report = find_cycles_numeric(rigid("x^2 + y^2 - 5"), (0.25, 4.0), 16)
     assert report.cycle_count == 1
     cycle = report.cycles[0]
@@ -313,9 +327,49 @@ def test_scan_compiles_the_field_once(catalogue, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("key", ["s1", "s1a", "s2", "center"])
+def test_catalogue_scan_return_count(catalogue, monkeypatch, key):
+    """The grid costs one return per radius; each bracket, refined where its
+    cycle attracts, costs at most four more."""
+    calls = []
+    return_event = dynamics._return_event
+
+    def counting(*args):
+        calls.append(args[1])
+        return return_event(*args)
+
+    monkeypatch.setattr(dynamics, "_return_event", counting)
+    report = find_cycles_numeric(catalogue[key].system, (0.25, 4.0), 16)
+    assert len(calls) <= 16 + 4 * report.cycle_count
+
+
+STIFF_CUBIC = ("vars: x y\n"
+               "dx = -y + y^2/32 + 3*y^3/512 - x^2/64\n"
+               "dy = x + 3*y^2/32 - x*y^2/1024 + x^2/16\n")
+
+
+def test_stiff_return_spends_its_step_budget():
+    """From r = 3.3 this cubic runs into a stiff far stable node, where the
+    step controller would reject steps by the million before t_max; the
+    trial-step budget ends the return as an unusable cell."""
+    deriv = dynamics._section_field(parse_system(STIFF_CUBIC))
+    cell = dynamics._evaluate_cell(deriv, 3.3)
+    assert cell.kind == dynamics._UNUSABLE
+    assert "budget of %d" % dynamics._RETURN_STEPS in cell.note
+
+
+def test_scan_of_a_stiff_cubic_is_bounded():
+    started = time.perf_counter()
+    report = find_cycles_numeric(parse_system(STIFF_CUBIC), (0.25, 4.0), 16)
+    assert time.perf_counter() - started < 20.0
+    assert report.cycle_count == 0
+    assert any("produced no usable displacement" in note
+               for note in report.notes)
+
+
 def test_scan_period_unknown_when_no_return_is_timed(no_timed_returns):
-    """With no return timed in either direction the period is None, never
-    NaN."""
+    """With every return reduced to its sign the bracket still refines to
+    the cycle, but no return is timed, so the period is None, never NaN."""
     report = find_cycles_numeric(rigid("x^2 + y^2 - 5"), (0.25, 4.0), 16)
     assert report.cycle_count == 1
     cycle = report.cycles[0]
