@@ -179,12 +179,17 @@ def scalar_curvature(system: PlanarSystem) -> CurvatureData:
     laplace_like = g22_a.partial(a) + g11_b.partial(b)
     det_a, det_b = det.partial(a), det.partial(b)
     numerator = (det * laplace_like).scale(2) - (det_a * g22_a + det_b * g11_b)
-    denominator = (det * det).scale(2)
     branches = (
         VanishingPair(system.P.partial(a), system.Q.partial(a), column=a),
         VanishingPair(system.P.partial(b), system.Q.partial(b), column=b),
     )
     reduced = _cancel_metric_factors(numerator, g11, g22)
+    # 2W^2 = (2 * g11^e1 * g22^e2) * g11^(2-e1) * g22^(2-e2): extend the
+    # reduced denominator by the cancelled copies instead of squaring W
+    denominator = reduced.function.denominator
+    for factor, exponent in zip((g11, g22), reduced.den_exponents):
+        if exponent < 2:
+            denominator = denominator * factor ** (2 - exponent)
     return CurvatureData(system, metric, RationalFunction(numerator, denominator),
                          reduced, branches)
 

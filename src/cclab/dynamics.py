@@ -633,8 +633,13 @@ def _group_note(kind: str, cells: list[_Cell]) -> str:
         _UNUSABLE: "produced no usable displacement",
     }[kind]
     if len(rs) == 1:
-        return f"grid radius {rs[0]:.6g} {what}"
-    return (f"{len(rs)} grid radii in [{min(rs):.6g}, {max(rs):.6g}] {what}")
+        text = f"grid radius {rs[0]:.6g} {what}"
+    else:
+        text = f"{len(rs)} grid radii in [{min(rs):.6g}, {max(rs):.6g}] {what}"
+    if kind == _UNUSABLE:
+        # each unusable cell says why: the group is otherwise unexplained
+        text += ": " + "; ".join(f"r = {c.r:.6g}: {c.note}" for c in cells)
+    return text
 
 
 def find_cycles_numeric(

@@ -1,48 +1,17 @@
 """Deterministic JSON rendering for machine-readable reports.
 
-The emitter is hand-rolled so the byte-level rules are explicit and stable:
-map keys are emitted sorted, floats are rendered with 17 significant digits
-(enough to round-trip an IEEE double), exact rationals become "p/q" strings,
-and no whitespace depends on input order.  Identical data therefore yields
-identical bytes, which the test suite relies on.
+Reports go through the standard library encoder with fixed settings: map
+keys are sorted, there is no whitespace, floats print as the shortest text
+that reads back to the same double (Python's repr), exact rationals become
+"p/q" strings, and NaN or infinity raises ValueError.  Any other type raises
+TypeError.  Identical data therefore yields identical bytes, which the test
+suite relies on.
 """
 
 from __future__ import annotations
 
-import math
+import json
 from fractions import Fraction
-
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
-
-
-def _escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
-
-
-def format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError("non-finite floats have no JSON rendering: %r" % value)
-    text = format(value, ".17g")
-    # keep the token a float on re-parse
-    if "e" not in text and "." not in text:
-        text += ".0"
-    return text
 
 
 def format_rational(value: Fraction) -> str:
@@ -51,47 +20,13 @@ def format_rational(value: Fraction) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-def _render(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, Fraction):
-        out.append(_escape(format_rational(obj)))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings, got %r" % (key,))
-            if not first:
-                out.append(",")
-            first = False
-            out.append(_escape(key))
-            out.append(":")
-            _render(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _render(item, out)
-        out.append("]")
-    else:
-        raise TypeError("no JSON rendering for %r" % (type(obj),))
+def _default(obj) -> str:
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    raise TypeError("no JSON rendering for %r" % (type(obj),))
 
 
 def dumps(obj) -> str:
     """Serialize to a compact, deterministic JSON string."""
-    out: list[str] = []
-    _render(obj, out)
-    return "".join(out)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False, allow_nan=False, default=_default)

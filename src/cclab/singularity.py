@@ -300,15 +300,16 @@ def _interval_newton_step(
 
 
 _CONTRACT_STEPS = 60
+# _divergence_verdict contracts a straddling enclosure to this width
+_CONTRACT_WIDTH = Fraction(1, 10**30)
 
 
 def _newton_contract(
     f: Poly2, g: Poly2, partials, ix: Interval, iy: Interval,
-    target_width: Fraction,
 ) -> tuple[Interval, Interval]:
     """Shrink a certified box by repeated Newton intersection."""
     for _ in range(_CONTRACT_STEPS):
-        if ix[1] - ix[0] <= target_width and iy[1] - iy[0] <= target_width:
+        if ix[1] - ix[0] <= _CONTRACT_WIDTH and iy[1] - iy[0] <= _CONTRACT_WIDTH:
             break
         verdict, nx, ny = _interval_newton_step(f, g, partials, ix, iy)
         if verdict == "rejected":  # cannot happen for a certified box
@@ -462,7 +463,6 @@ def _certify_cell(
         if verdict == "rejected":
             return None
         if verdict == "certified":
-            nx, ny = _newton_contract(f, g, partials, nx, ny, DEFAULT_WIDTH)
             return ("point", PointBox(RootInterval(nx[0], nx[1]),
                                       RootInterval(ny[0], ny[1])))
         shrink_width = shrink_width * shrink_width
@@ -502,11 +502,6 @@ def singular_locus(curv: CurvatureData) -> SingularLocusReport:
     divergence = [
         _divergence_verdict(curv, box, indices) for box, indices in merged_boxes
     ]
-    if _all_pairs_parity_symmetric(subsystems):
-        notes.append(
-            "every subsystem polynomial has pure parity, so the singular "
-            "set is symmetric under (x, y) -> (-x, -y)"
-        )
     return SingularLocusReport(
         subsystems=subsystems,
         branches=tuple(branch_results),
@@ -555,8 +550,7 @@ def _divergence_verdict(
     partials = (first.partial(a), first.partial(b),
                 second.partial(a), second.partial(b))
     if box.x.exact is None and box.y.exact is None:
-        nx, ny = _newton_contract(first, second, partials, ix, iy,
-                                  Fraction(1, 10**30))
+        nx, ny = _newton_contract(first, second, partials, ix, iy)
         box = PointBox(RootInterval(nx[0], nx[1]), RootInterval(ny[0], ny[1]))
         lo, hi = numerator.eval_box(nx, ny)
         if lo > 0 or hi < 0:
@@ -610,35 +604,18 @@ def _symmetric_pair_count(points: list[DivergencePoint]) -> int:
     return count
 
 
-def _all_pairs_parity_symmetric(
-    subsystems: tuple[tuple[Poly2, Poly2], ...],
-) -> bool:
-    """True when every polynomial has all-even or all-odd total degrees."""
-    for pair in subsystems:
-        for poly in pair:
-            if poly.is_zero():
-                continue
-            parities = {(i + j) % 2 for i, j in poly.terms}
-            if len(parities) > 1:
-                return False
-    return True
-
-
 # --- equilibria and the assertion criteria -------------------------------------
 
 
 def verify_equilibrium(
     system: PlanarSystem,
     point: tuple[Rat, Rat],
-    curvature: RationalFunction | None = None,
+    curvature: RationalFunction,
 ) -> EquilibriumCertificate:
     """Exact equilibrium check at a rational point, with R's outcome there."""
     px, py = _to_fraction(point[0]), _to_fraction(point[1])
     p_val = system.P.eval_at(px, py)
     q_val = system.Q.eval_at(px, py)
-    if curvature is None:
-        from .curvature import scalar_curvature
-        curvature = scalar_curvature(system).reduced.function
     r_outcome = curvature.evaluate(px, py)
     return EquilibriumCertificate((px, py), p_val, q_val, r_outcome)
 

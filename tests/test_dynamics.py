@@ -365,6 +365,9 @@ def test_scan_of_a_stiff_cubic_is_bounded():
     assert report.cycle_count == 0
     assert any("produced no usable displacement" in note
                for note in report.notes)
+    # each unusable cell's reason reaches the report
+    assert any("budget of %d" % dynamics._RETURN_STEPS in note
+               for note in report.notes)
 
 
 def test_scan_period_unknown_when_no_return_is_timed(no_timed_returns):
