@@ -24,6 +24,7 @@ from .dynamics import (
     detect_radial_form,
     exact_radial_cycles,
     find_cycles_numeric,
+    scan_annulus,
 )
 from .jsonout import format_rational
 from .polynomials import Poly2
@@ -107,10 +108,12 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline on one system.
 
-    The numeric scan needs the origin to be an equilibrium (it works on a
+    Invalid scan arguments raise ValueError before any exact work.  The
+    numeric scan needs the origin to be an equilibrium (it works on a
     transversal section of rays from the origin); when it is not, the scan
     is skipped with a note instead of failing the whole analysis.
     """
+    scan_annulus(r_range, n_scan)
     curv = scalar_curvature(system)
     notes: list[str] = []
 

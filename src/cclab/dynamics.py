@@ -9,7 +9,7 @@ is read off the sign change of f, all in exact arithmetic.
 
 For everything else (and as a cross-check on the rigid path) a numerical
 Poincare return map on the positive x-axis is scanned for fixed points
-with an embedded Runge-Kutta 4(5) integrator.
+with Dormand and Prince's order-8 integrator DOP853.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, TextIO
+from itertools import pairwise
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .polynomials import Poly2, UniPoly
 from .realroots import (
@@ -51,11 +52,21 @@ class DivergenceError(RuntimeError):
 
 
 class NoReturnError(RuntimeError):
-    """No section crossing occurred within the time budget."""
+    """No section crossing occurred within the time budget.
 
-    def __init__(self, t_max: float):
+    ``sink`` is set when the orbit settled at a sink first, and so would
+    never have returned.
+    """
+
+    def __init__(self, t_max: float, sink: tuple[float, float] | None = None):
         self.t_max = t_max
-        super().__init__(f"no return to the section within t_max={t_max:g}")
+        self.sink = sink
+        if sink is None:
+            message = f"no return to the section within t_max={t_max:g}"
+        else:
+            message = (f"settled at the sink ({sink[0]:.6g}, {sink[1]:.6g}) "
+                       "without returning to the section")
+        super().__init__(message)
 
 
 class StepBudgetError(RuntimeError):
@@ -80,74 +91,244 @@ class EquilibriumCaptureError(RuntimeError):
 # --- compiled float evaluation ------------------------------------------------
 
 
-def _poly_expr(poly: Poly2, xname: str, yname: str) -> str:
-    """A float-arithmetic expression string for one polynomial."""
+def _poly_expr(poly: Poly2) -> str:
+    """A float expression for one polynomial in x, y and their powers x2, y3..."""
     pieces = []
     for (i, j), c in sorted(poly.terms.items()):
-        factors = [repr(float(c))]
-        if i == 1:
-            factors.append(xname)
-        elif i > 1:
-            factors.append(f"{xname}**{i}")
-        if j == 1:
-            factors.append(yname)
-        elif j > 1:
-            factors.append(f"{yname}**{j}")
-        pieces.append("*".join(factors))
+        factors = [v if k == 1 else f"{v}{k}"
+                   for v, k in (("x", i), ("y", j)) if k > 0]
+        c = float(c)
+        if not factors:
+            pieces.append(repr(c))
+        elif c == 1.0 or c == -1.0:
+            pieces.append(("-" if c < 0 else "") + "*".join(factors))
+        else:
+            pieces.append("*".join([repr(c)] + factors))
     return " + ".join(pieces) if pieces else "0.0"
 
 
-def _compile_field(system: PlanarSystem) -> Callable[[float, float], tuple[float, float]]:
-    """Compile (P, Q) into one fast float-valued function of (x, y).
+def _powers_source(polys) -> str:
+    """Lines binding x2 = x * x, x3 = x2 * x, ... as far as polys need."""
+    lines = []
+    for axis, v in ((0, "x"), (1, "y")):
+        top = max((m[axis] for p in polys for m in p.terms), default=0)
+        for k in range(2, top + 1):
+            lower = v if k == 2 else f"{v}{k - 1}"
+            lines.append(f"    {v}{k} = {lower} * {v}\n")
+    return "".join(lines)
+
+
+def _define(src: str, name: str) -> Callable:
+    """Execute generated source and return the function it defines."""
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace[name]
+
+
+class _Field(NamedTuple):
+    """A compiled field F = (P, Q) and its Jacobian's (trace, determinant)."""
+
+    deriv: Callable[[float, float], tuple[float, float]]
+    jacobian: Callable[[float, float], tuple[float, float]]
+
+
+def _compile_field(system: PlanarSystem) -> _Field:
+    """Compile (P, Q) and its Jacobian into fast float-valued functions.
 
     The scan below evaluates the field millions of times, so the term-by-term
     dictionary walk is compiled once into a plain arithmetic expression.
+    Powers are repeated products: float ** is slower, and it raises
+    OverflowError where * overflows to inf, which the step controller
+    rejects like any other non-finite step.
     """
-    src = (
+    xname, yname = system.varnames
+    partials = [poly.partial(var) for poly in (system.P, system.Q)
+                for var in (xname, yname)]
+    px, py, qx, qy = map(_poly_expr, partials)
+    deriv = _define(
         "def _deriv(x, y):\n"
-        f"    return ({_poly_expr(system.P, 'x', 'y')}), "
-        f"({_poly_expr(system.Q, 'x', 'y')})\n"
-    )
-    namespace: dict = {}
-    exec(src, namespace)
-    return namespace["_deriv"]
+        + _powers_source((system.P, system.Q))
+        + f"    return ({_poly_expr(system.P)}), ({_poly_expr(system.Q)})\n",
+        "_deriv")
+    jacobian = _define(
+        "def _jacobian(x, y):\n"
+        + _powers_source(partials)
+        + f"    px, py, qx, qy = ({px}), ({py}), ({qx}), ({qy})\n"
+        "    return px + qy, px * qy - py * qx\n", "_jacobian")
+    return _Field(deriv, jacobian)
 
 
-# --- embedded Runge-Kutta 4(5), Fehlberg coefficients --------------------------
+def _mirrored(field: _Field) -> _Field:
+    """The field (-P(x, -y), Q(x, -y)): F's mirror images run backward.
 
-_A21 = 1.0 / 4.0
-_A31, _A32 = 3.0 / 32.0, 9.0 / 32.0
-_A41, _A42, _A43 = 1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0
-_A51, _A52, _A53, _A54 = 439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0
-_A61, _A62, _A63, _A64, _A65 = (
-    -8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0)
-_B1, _B3, _B4, _B5 = 25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0
-_E1, _E3, _E4, _E5, _E6 = (
-    16.0 / 135.0 - _B1, 6656.0 / 12825.0 - _B3,
-    28561.0 / 56430.0 - _B4, -9.0 / 50.0 - _B5, 2.0 / 55.0)
+    Its Jacobian at (x, y) has the opposite trace and the same determinant
+    as F's at (x, -y), so F's sources are its sinks.
+    """
+    deriv, jacobian = field
+
+    def mirror_deriv(x, y):
+        p, q = deriv(x, -y)
+        return -p, q
+
+    def mirror_jacobian(x, y):
+        trace, det = jacobian(x, -y)
+        return -trace, det
+
+    return _Field(mirror_deriv, mirror_jacobian)
+
+
+# --- Dormand-Prince 8(5,3) ------------------------------------------------------
+
+# The DOP853 pair (Hairer, Norsett & Wanner, Solving Ordinary Differential
+# Equations I, section II.10), with the digits of Hairer's code.  Stage 0 is
+# F at the step start; row i of _DP_A lists stage i's nonzero coefficients as
+# (earlier stage, a_ij) pairs, and stage i is evaluated at time offset
+# _DP_C[i] * h.  _DP_B gives the order-8 state, _DP_E5 the order-5 error
+# estimate, and the order-3 estimate is sum(b_i k_i) - sum(bhh_i k_i).
+_DP_C = (
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+)
+_DP_A = (
+    (),
+    ((0, 5.26001519587677318785587544488e-2),),
+    (
+        (0, 1.97250569845378994544595329183e-2),
+        (1, 5.91751709536136983633785987549e-2),
+    ),
+    (
+        (0, 2.95875854768068491816892993775e-2),
+        (2, 8.87627564304205475450678981324e-2),
+    ),
+    (
+        (0, 2.41365134159266685502369798665e-1),
+        (2, -8.84549479328286085344864962717e-1),
+        (3, 9.24834003261792003115737966543e-1),
+    ),
+    (
+        (0, 3.7037037037037037037037037037e-2),
+        (3, 1.70828608729473871279604482173e-1),
+        (4, 1.25467687566822425016691814123e-1),
+    ),
+    (
+        (0, 3.7109375e-2),
+        (3, 1.70252211019544039314978060272e-1),
+        (4, 6.02165389804559606850219397283e-2),
+        (5, -1.7578125e-2),
+    ),
+    (
+        (0, 3.70920001185047927108779319836e-2),
+        (3, 1.70383925712239993810214054705e-1),
+        (4, 1.07262030446373284651809199168e-1),
+        (5, -1.53194377486244017527936158236e-2),
+        (6, 8.27378916381402288758473766002e-3),
+    ),
+    (
+        (0, 6.24110958716075717114429577812e-1),
+        (3, -3.36089262944694129406857109825),
+        (4, -8.68219346841726006818189891453e-1),
+        (5, 2.75920996994467083049415600797e1),
+        (6, 2.01540675504778934086186788979e1),
+        (7, -4.34898841810699588477366255144e1),
+    ),
+    (
+        (0, 4.77662536438264365890433908527e-1),
+        (3, -2.48811461997166764192642586468),
+        (4, -5.90290826836842996371446475743e-1),
+        (5, 2.12300514481811942347288949897e1),
+        (6, 1.52792336328824235832596922938e1),
+        (7, -3.32882109689848629194453265587e1),
+        (8, -2.03312017085086261358222928593e-2),
+    ),
+    (
+        (0, -9.3714243008598732571704021658e-1),
+        (3, 5.18637242884406370830023853209),
+        (4, 1.09143734899672957818500254654),
+        (5, -8.14978701074692612513997267357),
+        (6, -1.85200656599969598641566180701e1),
+        (7, 2.27394870993505042818970056734e1),
+        (8, 2.49360555267965238987089396762),
+        (9, -3.0467644718982195003823669022),
+    ),
+    (
+        (0, 2.27331014751653820792359768449),
+        (3, -1.05344954667372501984066689879e1),
+        (4, -2.00087205822486249909675718444),
+        (5, -1.79589318631187989172765950534e1),
+        (6, 2.79488845294199600508499808837e1),
+        (7, -2.85899827713502369474065508674),
+        (8, -8.87285693353062954433549289258),
+        (9, 1.23605671757943030647266201528e1),
+        (10, 6.43392746015763530355970484046e-1),
+    ),
+)
+_DP_B = (
+    (0, 5.42937341165687622380535766363e-2),
+    (5, 4.45031289275240888144113950566),
+    (6, 1.89151789931450038304281599044),
+    (7, -5.8012039600105847814672114227),
+    (8, 3.1116436695781989440891606237e-1),
+    (9, -1.52160949662516078556178806805e-1),
+    (10, 2.01365400804030348374776537501e-1),
+    (11, 4.47106157277725905176885569043e-2),
+)
+_DP_E5 = (
+    (0, 0.1312004499419488073250102996e-1),
+    (5, -0.1225156446376204440720569753e+1),
+    (6, -0.4957589496572501915214079952),
+    (7, 0.1664377182454986536961530415e+1),
+    (8, -0.3503288487499736816886487290),
+    (9, 0.3341791187130174790297318841),
+    (10, 0.8192320648511571246570742613e-1),
+    (11, -0.2235530786388629525884427845e-1),
+)
+_DP_BHH = (
+    (0, 0.244094488188976377952755905512),
+    (8, 0.733846688281611857341361741547),
+    (11, 0.220588235294117647058823529412e-1),
+)
 
 _MAX_COORD = 1e12
 
 
-def _rkf45_step(deriv, x: float, y: float, h: float):
-    """One trial step.  Returns the order-4 result and the embedded error."""
-    k1x, k1y = deriv(x, y)
-    k2x, k2y = deriv(x + h * _A21 * k1x, y + h * _A21 * k1y)
-    k3x, k3y = deriv(x + h * (_A31 * k1x + _A32 * k2x),
-                     y + h * (_A31 * k1y + _A32 * k2y))
-    k4x, k4y = deriv(x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-                     y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y))
-    k5x, k5y = deriv(
-        x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-        y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y))
-    k6x, k6y = deriv(
-        x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x),
-        y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y + _A64 * k4y + _A65 * k5y))
-    nx = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x)
-    ny = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y)
-    ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x)
-    ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y)
-    return nx, ny, ex, ey
+def _dop853_source() -> str:
+    """Source of _dop853_step: the tableau unrolled into float literals."""
+
+    def combo(pairs, axis: str) -> str:
+        return " + ".join(f"{a!r} * k{j}{axis}" for j, a in pairs)
+
+    lines = ["def _dop853_step(deriv, x, y, k0x, k0y, h):"]
+    for i, row in enumerate(_DP_A[1:], start=1):
+        lines.append(f"    k{i}x, k{i}y = deriv(x + h * ({combo(row, 'x')}), "
+                     f"y + h * ({combo(row, 'y')}))")
+    lines += [
+        f"    bx = {combo(_DP_B, 'x')}",
+        f"    by = {combo(_DP_B, 'y')}",
+        "    return (x + h * bx, y + h * by,",
+        f"            h * ({combo(_DP_E5, 'x')}),",
+        f"            h * ({combo(_DP_E5, 'y')}),",
+        f"            h * (bx - ({combo(_DP_BHH, 'x')})),",
+        f"            h * (by - ({combo(_DP_BHH, 'y')})))",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# One trial step of size h from (x, y), where (k0x, k0y) = F(x, y): returns
+# the order-8 state and the order-5 and order-3 error vectors.  The caller
+# evaluates F at an accepted state once, and that value is the next step's
+# first stage (first same as last), so a step costs 11 evaluations plus one
+# when it is accepted.
+_dop853_step = _define(_dop853_source(), "_dop853_step")
 
 
 def _adaptive_steps(
@@ -159,8 +340,14 @@ def _adaptive_steps(
     max_step: float | None = None,
     max_trials: int | None = None,
     stats: list | None = None,
-) -> Iterator[tuple[float, float, float, float, float, float]]:
-    """Yield accepted steps (t0, x0, y0, t1, x1, y1) up to t_end.
+) -> Iterator[tuple[float, float, float, float, float]]:
+    """Yield (t, x, y, fx, fy) at the start and after every accepted step.
+
+    (fx, fy) is F(x, y), which is also the next step's first stage.  The
+    error of a trial step is Hairer's combination of the order-5 and order-3
+    estimates e5 and e3, |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)), with each
+    component divided by atol + rtol * |coordinate|; the step size follows
+    it with exponent 1/8.
 
     Raises DivergenceError when the controller underflows the step size or a
     coordinate leaves [-1e12, 1e12], both of which signal finite-time blow-up
@@ -169,11 +356,13 @@ def _adaptive_steps(
     """
     t = 0.0
     x, y = float(start[0]), float(start[1])
+    kx, ky = deriv(x, y)
     h = min(1e-3, t_end)
     if max_step is not None:
         h = min(h, max_step)
     accepted = rejected = 0
     try:
+        yield t, x, y, kx, ky
         while t < t_end:
             remaining = t_end - t
             if remaining <= 4.0 * sys.float_info.epsilon * max(abs(t), abs(t_end)):
@@ -185,35 +374,31 @@ def _adaptive_steps(
             h = min(h, remaining)
             if h < 1e-14 * max(1.0, abs(t)):
                 raise DivergenceError(t, (x, y))
-            try:
-                nx, ny, ex, ey = _rkf45_step(deriv, x, y, h)
-                finite = math.isfinite(nx) and math.isfinite(ny)
-            except OverflowError:
-                # the compiled field's float ** raises where * gives inf
-                finite = False
-            if not finite:
+            nx, ny, e5x, e5y, e3x, e3y = _dop853_step(deriv, x, y, kx, ky, h)
+            if not (math.isfinite(nx) and math.isfinite(ny)):
                 h *= 0.25
                 rejected += 1
                 continue
             sx = atol + rtol * max(abs(x), abs(nx))
             sy = atol + rtol * max(abs(y), abs(ny))
-            ratio = max(abs(ex) / sx, abs(ey) / sy)
+            e5x, e5y, e3x, e3y = e5x / sx, e5y / sy, e3x / sx, e3y / sy
+            err5 = e5x * e5x + e5y * e5y
+            err3 = e3x * e3x + e3y * e3y
+            ratio = err5 / math.sqrt(2.0 * (err5 + 0.01 * err3)) if err5 else 0.0
             if ratio <= 1.0:
-                t0, x0, y0 = t, x, y
-                # propagate the order-5 member (the error vector is exactly
-                # the order difference, so this is free local extrapolation)
-                t, x, y = t + h, nx + ex, ny + ey
+                t, x, y = t + h, nx, ny
                 accepted += 1
                 if abs(x) > _MAX_COORD or abs(y) > _MAX_COORD:
                     raise DivergenceError(t, (x, y))
-                grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.2)
+                kx, ky = deriv(x, y)
+                grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.125)
                 h *= max(0.2, grow)
                 if max_step is not None:
                     h = min(h, max_step)
-                yield (t0, x0, y0, t, x, y)
+                yield t, x, y, kx, ky
             else:
                 rejected += 1
-                h *= max(0.2, 0.9 * ratio ** -0.2)
+                h *= max(0.2, 0.9 * ratio ** -0.125)
     finally:
         if stats is not None:
             stats[:] = [accepted, rejected]
@@ -236,10 +421,10 @@ class Trajectory:
         fh = open(target, "w", encoding="utf-8") if own else target
         try:
             if self.fixed_step is None:
-                fh.write(f"# adaptive rkf45, rtol={self.rtol:g}, "
+                fh.write(f"# adaptive dop853, rtol={self.rtol:g}, "
                          f"atol={self.atol:g}\n")
             else:
-                fh.write(f"# fixed-step rkf45, h={self.fixed_step:g}\n")
+                fh.write(f"# fixed-step dop853, h={self.fixed_step:g}\n")
             fh.write(f"# steps accepted={self.steps_accepted}, "
                      f"rejected={self.steps_rejected}\n")
             fh.write("t,x,y\n")
@@ -268,27 +453,26 @@ def integrate(
         raise ValueError("t_end must be positive")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
-    deriv = _compile_field(system)
-    samples = [(0.0, float(start[0]), float(start[1]))]
+    deriv = _compile_field(system).deriv
     if fixed_step is not None:
         if fixed_step <= 0:
             raise ValueError("fixed_step must be positive")
-        t, x, y = samples[0]
-        count = 0
+        t, x, y = 0.0, float(start[0]), float(start[1])
+        samples = [(t, x, y)]
         while t < t_end - 1e-12 * max(1.0, t_end):
             h = min(fixed_step, t_end - t)
-            x, y, _, _ = _rkf45_step(deriv, x, y, h)
+            kx, ky = deriv(x, y)
+            x, y = _dop853_step(deriv, x, y, kx, ky, h)[:2]
             if abs(x) > _MAX_COORD or abs(y) > _MAX_COORD \
                     or not (math.isfinite(x) and math.isfinite(y)):
                 raise DivergenceError(t + h, (x, y))
             t += h
-            count += 1
             samples.append((t, x, y))
-        return Trajectory(tuple(samples), rtol, atol, count, 0, fixed_step)
+        return Trajectory(tuple(samples), rtol, atol, len(samples) - 1, 0,
+                          fixed_step)
     stats: list = []
-    for (_, _, _, t1, x1, y1) in _adaptive_steps(
-            deriv, start, t_end, rtol, atol, stats=stats):
-        samples.append((t1, x1, y1))
+    samples = [(t, x, y) for t, x, y, _, _ in _adaptive_steps(
+        deriv, start, t_end, rtol, atol, stats=stats)]
     return Trajectory(tuple(samples), rtol, atol, stats[0], stats[1])
 
 
@@ -477,17 +661,16 @@ def exact_radial_cycles(form: RadialForm) -> LimitCycleReport:
 # steps, accepted plus rejected (near a stiff node the step controller can
 # otherwise reject millions of steps before _T_MAX), and a trajectory that
 # comes within _R_MIN of the origin counts as captured by the equilibrium.
+# 10000 trials are 120000 field evaluations at most.
 _T_MAX = 1e3
-_RETURN_STEPS = 20_000
+_RETURN_STEPS = 10_000
 _R_MIN = 1e-6
 # poincare_return's tolerances; its docstring says why they are this tight
 _RETURN_RTOL = 1e-14
 _RETURN_ATOL = 1e-16
 
 
-def _section_field(
-    system: PlanarSystem,
-) -> Callable[[float, float], tuple[float, float]]:
+def _section_field(system: PlanarSystem) -> _Field:
     """The compiled field of a system whose origin anchors the section."""
     if system.P.eval_at(0, 0) != 0 or system.Q.eval_at(0, 0) != 0:
         raise ValueError("the section is anchored at the origin, which must "
@@ -495,40 +678,39 @@ def _section_field(
     return _compile_field(system)
 
 
-def _solve_crossing(deriv, x0: float, y0: float, h: float,
-                    y1: float) -> tuple[float, float]:
+def _solve_crossing(deriv, x0: float, y0: float, k0x: float, k0y: float,
+                    h: float, y1: float) -> tuple[float, float]:
     """Offset tau in [0, h] and abscissa where an accepted step meets y = 0.
 
-    The step of size h from (x0, y0) has y0 < 0 and ends at y1 >= 0.  The
-    first estimate interpolates y linearly; each Newton step
-    tau <- tau - y(tau)/Q then evaluates y(tau) with one RKF45 sub-step of
-    size tau from the stored step start, which is at least as accurate as
-    the accepted step.  The sign bracket [lo, hi] is kept, and a Newton
-    step that leaves it falls back to the bracket midpoint.  The solve stops
-    once tau moves by less than 1e-12 or the bracket is narrower than that.
+    The step of size h from (x0, y0), where F = (k0x, k0y), has y0 < 0 and
+    ends at y1 >= 0.  The first estimate interpolates y linearly; each Newton
+    step tau <- tau - y(tau)/Q then evaluates y(tau) with one DOP853 sub-step
+    of size tau from the stored step start, which is at least as accurate as
+    the accepted step.  The sign bracket [lo, hi] is kept, and a Newton step
+    that leaves it falls back to the bracket midpoint.  The solve stops once
+    tau moves by less than 1e-12 or the bracket is narrower than that, and
+    that last move carries the abscissa along P to first order, with an
+    error second order in the move.
     """
     lo, hi = 0.0, h
-    tau = h * y0 / (y0 - y1)
+    nxt = h * y0 / (y0 - y1)
     for _ in range(200):
-        nx, ny, ex, ey = _rkf45_step(deriv, x0, y0, tau)
-        x, y = nx + ex, ny + ey
+        tau = nxt
+        x, y = _dop853_step(deriv, x0, y0, k0x, k0y, tau)[:2]
         if y < 0.0:
             lo = tau
         else:
             hi = tau
-        q = deriv(x, y)[1]
+        p, q = deriv(x, y)
         nxt = tau - y / q if q > 0.0 else math.nan
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
-        done = abs(nxt - tau) < 1e-12 or hi - lo < 1e-12
-        tau = nxt
-        if done:
+        if abs(nxt - tau) < 1e-12 or hi - lo < 1e-12:
             break
-    nx, _, ex, _ = _rkf45_step(deriv, x0, y0, tau)
-    return tau, nx + ex
+    return nxt, x + p * (nxt - tau)
 
 
-def _return_event(deriv, r0: float, rtol: float,
+def _return_event(field: _Field, r0: float, rtol: float,
                   atol: float) -> tuple[float, float]:
     """First return to the positive x-axis: (crossing abscissa, crossing time).
 
@@ -537,17 +719,27 @@ def _return_event(deriv, r0: float, rtol: float,
     itself is fine, since the start has y = 0 exactly and the test needs
     y < 0 first.  The crossing is solved inside the accepted step that
     contains it (see _solve_crossing), so the return is integrated once.
+
+    An orbit that settles at a sink never returns, so the return ends with
+    NoReturnError naming the point as soon as the speed |F| at an accepted
+    state is below atol and the Jacobian there has trace < 0 < determinant.
     """
+    deriv, jacobian = field
     r_min_sq = _R_MIN * _R_MIN
-    for (t0, x0, y0, t1, x1, y1) in _adaptive_steps(
-            deriv, (r0, 0.0), _T_MAX, rtol, atol, max_step=0.2,
-            max_trials=_RETURN_STEPS):
+    still_sq = atol * atol
+    states = _adaptive_steps(deriv, (r0, 0.0), _T_MAX, rtol, atol,
+                             max_step=0.2, max_trials=_RETURN_STEPS)
+    for (t0, x0, y0, k0x, k0y), (t1, x1, y1, k1x, k1y) in pairwise(states):
         if x1 * x1 + y1 * y1 < r_min_sq:
             raise EquilibriumCaptureError(t1, _R_MIN)
         if y0 < 0.0 <= y1 and max(x0, x1) > _R_MIN:
-            tau, xc = _solve_crossing(deriv, x0, y0, t1 - t0, y1)
+            tau, xc = _solve_crossing(deriv, x0, y0, k0x, k0y, t1 - t0, y1)
             if xc > _R_MIN:
                 return xc, t0 + tau
+        if k1x * k1x + k1y * k1y < still_sq:
+            trace, det = jacobian(x1, y1)
+            if trace < 0.0 < det:
+                raise NoReturnError(_T_MAX, sink=(x1, y1))
     raise NoReturnError(_T_MAX)
 
 
@@ -558,10 +750,11 @@ def poincare_return(system: PlanarSystem, r0: float) -> float:
     integrator's: a repelling cycle amplifies per-step error by the
     exponential of its positive multiplier over one period, so returning to
     a known invariant circle within 1e-8 requires local error near the
-    rounding floor.  A return that takes longer than 1e3 time units raises
-    NoReturnError, one that spends 20000 trial steps raises StepBudgetError,
-    and a trajectory that comes within 1e-6 of the origin raises
-    EquilibriumCaptureError.
+    rounding floor.  The integrator is DOP853 with steps of at most 0.2.
+    A return that takes longer than 1e3 time units, or settles at a sink
+    first, raises NoReturnError; one that spends 10000 trial steps raises
+    StepBudgetError; and a trajectory that comes within 1e-6 of the origin
+    raises EquilibriumCaptureError.
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
@@ -593,9 +786,9 @@ class _Cell:
     note: str = ""
 
 
-def _evaluate_cell(deriv, r: float) -> _Cell:
+def _evaluate_cell(field: _Field, r: float) -> _Cell:
     try:
-        r1, tau = _return_event(deriv, r, _SCAN_RTOL, _SCAN_ATOL)
+        r1, tau = _return_event(field, r, _SCAN_RTOL, _SCAN_ATOL)
     except DivergenceError as exc:
         lx, ly = exc.state
         if math.hypot(lx, ly) > r:
@@ -642,6 +835,22 @@ def _group_note(kind: str, cells: list[_Cell]) -> str:
     return text
 
 
+def scan_annulus(r_range: tuple[float, float],
+                 n_scan: int) -> tuple[float, float]:
+    """The scanned annulus (lo, hi) of valid scan arguments.
+
+    Raises ValueError unless both radii are positive and finite and there
+    are at least two grid radii.
+    """
+    lo, hi = sorted((float(r_range[0]), float(r_range[1])))
+    if not (lo > 0 and math.isfinite(hi)):
+        raise ValueError("the scanned annulus must have positive finite radii, "
+                         f"not [{lo:g}, {hi:g}]")
+    if n_scan < 2:
+        raise ValueError(f"n_scan must be at least 2, not {n_scan}")
+    return lo, hi
+
+
 def find_cycles_numeric(
     system: PlanarSystem,
     r_range: tuple[float, float],
@@ -650,9 +859,12 @@ def find_cycles_numeric(
     """Scan the return-map displacement d(r) for sign changes.
 
     The grid is geometric over the annulus, and every return is integrated
-    at rtol 1e-10 and atol 1e-12 for at most 1e3 time units and 20000 trial
-    steps; a trajectory that comes within 1e-6 of the origin counts as
-    captured.  Each sign-change bracket is refined in the field where its
+    by DOP853 at rtol 1e-10 and atol 1e-12 for at most 1e3 time units and
+    10000 trial steps; a trajectory that comes within 1e-6 of the origin
+    counts as captured.  One that settles at a sink (speed below 1e-12 where
+    the Jacobian has negative trace and positive determinant) ends there
+    without a return, and its cell is unusable with a note naming the sink.
+    Each sign-change bracket is refined in the field where its
     cycle attracts (see _refine_bracket) until |d| < 1e-9 or the bracket is
     narrower than 1e-12.  A grid cell whose trajectory blows up outward, or
     falls into the equilibrium, still carries a usable displacement sign, so
@@ -661,15 +873,11 @@ def find_cycles_numeric(
     cell that did return moved by less than 1e-8, which is the
     continuum-of-periodic-orbits signature.
     """
-    lo, hi = sorted((float(r_range[0]), float(r_range[1])))
-    if lo <= 0:
-        raise ValueError("the scanned annulus must have positive inner radius")
-    if n_scan < 2:
-        raise ValueError("n_scan must be at least 2")
-    deriv = _section_field(system)
+    lo, hi = scan_annulus(r_range, n_scan)
+    field = _section_field(system)
     ratio = hi / lo
     cells = [
-        _evaluate_cell(deriv, lo * ratio ** (k / (n_scan - 1)))
+        _evaluate_cell(field, lo * ratio ** (k / (n_scan - 1)))
         for k in range(n_scan)
     ]
 
@@ -690,7 +898,7 @@ def find_cycles_numeric(
             continue
         if s_left == s_right:
             continue
-        found = _refine_bracket(deriv, left.r, right.r, s_left)
+        found = _refine_bracket(field, left.r, right.r, s_left)
         if found is None:
             notes.append(f"bracket [{left.r:.6g}, {right.r:.6g}] could not "
                          "be refined (integration failed inside it)")
@@ -713,7 +921,8 @@ def find_cycles_numeric(
     return LimitCycleReport(tuple(deduped), center_flag, tuple(notes))
 
 
-def _refine_bracket(deriv, lo: float, hi: float, s_left: int) -> Cycle | None:
+def _refine_bracket(field: _Field, lo: float, hi: float,
+                    s_left: int) -> Cycle | None:
     """Refine one sign-change bracket to a cycle radius and its period.
 
     The work is done in the field where the cycle attracts: the field itself
@@ -733,11 +942,7 @@ def _refine_bracket(deriv, lo: float, hi: float, s_left: int) -> Cycle | None:
     midpoint, which is timed by one more return.
     """
     stability = UNSTABLE if s_left < 0 else STABLE
-    attracting = deriv
-    if stability == UNSTABLE:
-        def attracting(x, y):
-            p, q = deriv(x, -y)
-            return -p, q
+    attracting = _mirrored(field) if stability == UNSTABLE else field
     r = 0.5 * (lo + hi)
     last = None
     for _ in range(200):

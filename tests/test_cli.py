@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import cclab.analysis
 import cclab.cli as cli
 from cclab.factcheck import CheckResult
 from cclab.parsing import parse_system
@@ -57,6 +58,19 @@ def test_bad_definition_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "byte" in err
+
+
+@pytest.mark.parametrize("scan_args", [("--scan", "1"), ("--r-range", "0", "4")])
+def test_invalid_scan_arguments_exit_2(capsys, monkeypatch, scan_args):
+    """Bad scan arguments are input errors, caught before any exact work."""
+    def unreachable(*args):
+        raise AssertionError("the exact pipeline ran")
+
+    monkeypatch.setattr(cclab.analysis, "scalar_curvature", unreachable)
+    code, out, err = run(capsys, "analyze", "center", *scan_args)
+    assert code == 2
+    assert "input error" in err
+    assert out == ""
 
 
 # --- curvature ------------------------------------------------------------------

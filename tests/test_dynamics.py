@@ -134,19 +134,33 @@ def exact_cubic_state(t: float) -> tuple[float, float]:
     return (r * math.cos(t), r * math.sin(t))
 
 
-def test_fixed_step_converges_at_fourth_order(catalogue):
+def test_fixed_step_converges_at_eighth_order(catalogue):
     system = catalogue["s1"].system
     ex, ey = exact_cubic_state(5.0)
-    errors = []
-    for h in (0.1, 0.05, 0.025):
-        traj = integrate(system, (0.5, 0.0), 5.0, fixed_step=h)
-        t, x, y = traj.samples[-1]
+
+    def error(h):
+        t, x, y = integrate(system, (0.5, 0.0), 5.0, fixed_step=h).samples[-1]
         assert abs(t - 5.0) < 1e-9
-        errors.append(math.hypot(x - ex, y - ey))
-    assert errors[0] < 5e-8
-    # halving the step should cut the error by about 2^4
-    assert errors[0] / errors[1] > 10
-    assert errors[1] / errors[2] > 10
+        return math.hypot(x - ex, y - ey)
+
+    errors = [error(h) for h in (1.0, 0.5, 0.25)]
+    # halving the step cuts the error by about 2^8 = 256; order 7 gives 128
+    assert errors[0] / errors[1] > 150
+    assert errors[1] / errors[2] > 150
+    assert error(0.1) < 1e-14
+
+
+def test_dop853_tableau_is_consistent():
+    """Catches transcription slips: each row of A sums to its node, the
+    weights integrate t^k exactly for k = 0..7, the order-5 error weights
+    sum to 0 and the order-3 comparison weights to 1."""
+    for c, row in zip(dynamics._DP_C, dynamics._DP_A):
+        assert abs(sum(a for _, a in row) - c) < 1e-14
+    for k in range(8):
+        quadrature = sum(b * dynamics._DP_C[j] ** k for j, b in dynamics._DP_B)
+        assert abs(quadrature - 1.0 / (k + 1)) < 1e-14
+    assert abs(sum(e for _, e in dynamics._DP_E5)) < 1e-14
+    assert abs(sum(b for _, b in dynamics._DP_BHH) - 1.0) < 1e-14
 
 
 def test_adaptive_integration_tracks_the_closed_form(catalogue):
@@ -181,7 +195,7 @@ def test_csv_dump(catalogue):
     traj.dump_csv(buffer)
     lines = buffer.getvalue().splitlines()
     meta = [line for line in lines if line.startswith("#")]
-    assert meta and "rtol" in meta[0]
+    assert meta and "rtol" in meta[0] and "dop853" in meta[0]
     header_at = len(meta)
     assert lines[header_at] == "t,x,y"
     first = lines[header_at + 1].split(",")
@@ -232,6 +246,25 @@ def test_return_event_of_the_linear_rotation(r0):
     assert abs(tc - TWO_PI) < 1e-12
 
 
+def counting_field(field, calls: list):
+    """The field with every evaluation of F recorded in ``calls``."""
+    def deriv(x, y):
+        calls.append((x, y))
+        return field.deriv(x, y)
+
+    return field._replace(deriv=deriv)
+
+
+def test_one_return_of_the_rotation_is_cheap():
+    """At the scan tolerances order 8 takes the 0.2 step cap around the
+    circle: about 35 steps of 12 evaluations, plus the crossing solve."""
+    calls = []
+    field = dynamics._section_field(parse_system("vars: x y\ndx = -y\ndy = x\n"))
+    cell = dynamics._evaluate_cell(counting_field(field, calls), 1.0)
+    assert cell.kind == dynamics._RETURN
+    assert len(calls) <= 600
+
+
 def test_equilibrium_capture_error(monkeypatch):
     monkeypatch.setattr(dynamics, "_R_MIN", 1e-3)
     sink = rigid("-1")
@@ -275,6 +308,16 @@ def test_scan_flags_center(catalogue):
     assert report.center_flag
 
 
+@pytest.mark.parametrize("key, radii", [
+    ("s1", [1.0]), ("s1a", [1.0, 2.0]), ("s2", [math.sqrt(0.5)])])
+def test_scan_radii_and_periods_are_accurate(catalogue, key, radii):
+    report = find_cycles_numeric(catalogue[key].system, (0.25, 4.0), 16)
+    assert len(report.cycles) == len(radii)
+    for cycle, radius in zip(report.cycles, radii):
+        assert abs(cycle.radius - radius) < 1e-11
+        assert abs(cycle.period - TWO_PI) < 1e-10
+
+
 def test_scan_reversed_range_is_identical(catalogue):
     forward = find_cycles_numeric(catalogue["s1"].system, (0.25, 4.0), 16)
     backward = find_cycles_numeric(catalogue["s1"].system, (4.0, 0.25), 16)
@@ -289,7 +332,7 @@ def test_scan_argument_validation(catalogue):
 
 
 def test_scan_survives_float_overflow_in_the_field():
-    """Degree 7: far-out trial steps overflow float ** before the 1e12
+    """Degree 7: far-out trial steps overflow to inf or nan before the 1e12
     coordinate guard fires; they must shrink the step, not abort the scan."""
     system = rigid("(x^2 + y^2 - 1)*(x^2 + y^2 - 2)*(x^2 + y^2 - 3)")
     report = find_cycles_numeric(system, (0.25, 4.0), 16)
@@ -367,6 +410,31 @@ def test_scan_of_a_stiff_cubic_is_bounded():
                for note in report.notes)
     # each unusable cell's reason reaches the report
     assert any("budget of %d" % dynamics._RETURN_STEPS in note
+               for note in report.notes)
+
+
+GENERIC_CUBIC = ("vars: x y\n"
+                 "dx = -y + x^3 - 2*x*y^2 + x^2/2\n"
+                 "dy = x + 3*x^2*y - y^3/4 + x*y\n")
+
+
+def test_returns_end_where_the_orbit_settles_at_a_sink():
+    """13 of this cubic's 16 grid orbits settle at the focus near
+    (0.3715, -1.457), and each return ends there instead of running out
+    t_max = 1e3 at the 0.2 step cap (about 60000 evaluations)."""
+    field = dynamics._section_field(parse_system(GENERIC_CUBIC))
+    settled = 0
+    for k in range(16):
+        calls = []
+        cell = dynamics._evaluate_cell(counting_field(field, calls),
+                                       0.25 * 16.0 ** (k / 15))
+        if cell.kind == dynamics._UNUSABLE:
+            settled += 1
+            assert "settled at the sink (0.371536, -1.45689)" in cell.note
+            assert len(calls) < 3500
+    assert settled == 13
+    report = find_cycles_numeric(parse_system(GENERIC_CUBIC), (0.25, 4.0), 16)
+    assert any("13 grid radii" in note and "settled at the sink" in note
                for note in report.notes)
 
 
