@@ -630,7 +630,7 @@ def exact_radial_cycles(form: RadialForm) -> LimitCycleReport:
             stability = STABLE
         if mult > 1 and not note:
             note = f"root of multiplicity {mult}"
-        exact_s = iv.exact if iv.exact is not None else rational_root_in(form.f, iv)
+        exact_s = rational_root_in(report.context, iv)
         if exact_s is not None:
             root = _exact_sqrt(exact_s)
             if root is not None:
@@ -722,11 +722,13 @@ def _return_event(field: _Field, r0: float, rtol: float,
 
     An orbit that settles at a sink never returns, so the return ends with
     NoReturnError naming the point as soon as the speed |F| at an accepted
-    state is below atol and the Jacobian there has trace < 0 < determinant.
+    state is below the scan's atol, 1e-12, and the Jacobian there has
+    trace < 0 < determinant.  The speed test keeps that threshold at every
+    atol: poincare_return's 1e-16 is below the rounding floor of F.
     """
     deriv, jacobian = field
     r_min_sq = _R_MIN * _R_MIN
-    still_sq = atol * atol
+    still_sq = _SCAN_ATOL * _SCAN_ATOL
     states = _adaptive_steps(deriv, (r0, 0.0), _T_MAX, rtol, atol,
                              max_step=0.2, max_trials=_RETURN_STEPS)
     for (t0, x0, y0, k0x, k0y), (t1, x1, y1, k1x, k1y) in pairwise(states):

@@ -2,9 +2,14 @@
 
 The resultant of two bivariate polynomials with respect to one variable is the
 determinant of their Sylvester matrix, whose entries here are univariate
-polynomials in the surviving variable.  The determinant is computed with the
-Bareiss fraction-free elimination, so every intermediate division is exact
-(each intermediate entry is itself a minor of the original matrix).
+polynomials in the surviving variable.  The determinant is computed in
+integers: each row is multiplied by the common denominator of its entries,
+which for a Sylvester matrix is c_f on the rows of f and c_g on those of g,
+and Bareiss's fraction-free elimination then runs on integer coefficient
+lists, where every intermediate division is exact (each intermediate entry is
+itself a minor of the integer matrix).  Dividing the integer determinant by
+the product of the row factors, c_f^n * c_g^m, gives the determinant of the
+original matrix, so the eliminant is the same rational polynomial.
 
 The key consequence used downstream: the resultant lies in the ideal generated
 by the two inputs, so every common real zero of the pair projects onto a real
@@ -14,6 +19,9 @@ where the leading coefficients of both inputs vanish.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .polynomials import Poly2, UniPoly
 
@@ -50,6 +58,45 @@ def sylvester_matrix(f: Poly2, g: Poly2, eliminate: str) -> list[list[UniPoly]]:
     return rows
 
 
+# --- integer coefficient lists (lowest degree first, no trailing zeros) -----
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b dividing a over the integers (long division, top down)."""
+    if len(b) == 1:
+        return a if b[0] == 1 else [x // b[0] for x in a]
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + db] // lead
+        quot[k] = q
+        if q:
+            for i, y in enumerate(b):
+                rem[k + i] -= q * y
+    return quot
+
+
 def bareiss_determinant(matrix: list[list[UniPoly]], var: str) -> UniPoly:
     """Determinant of a square matrix of univariate polynomials, fraction-free."""
     size = len(matrix)
@@ -57,25 +104,32 @@ def bareiss_determinant(matrix: list[list[UniPoly]], var: str) -> UniPoly:
         raise ValueError("matrix is not square")
     if size == 0:
         return UniPoly.constant(1, var)
-    m = [list(row) for row in matrix]
+    m: list[list[list[int]]] = []
+    scale = 1
+    for row in matrix:
+        den = lcm(*(c.denominator for entry in row for c in entry.coeffs))
+        scale *= den
+        m.append([[c.numerator * (den // c.denominator) for c in entry.coeffs]
+                  for entry in row])
     sign = 1
-    prev = UniPoly.constant(1, var)
+    prev = [1]
     for k in range(size - 1):
-        if m[k][k].is_zero():
+        if not m[k][k]:
             pivot_row = next(
-                (i for i in range(k + 1, size) if not m[i][k].is_zero()), None
+                (i for i in range(k + 1, size) if m[i][k]), None
             )
             if pivot_row is None:
                 return UniPoly.zero(var)
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        for i in range(k + 1, size):
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).divexact(prev)
-            m[i][k] = UniPoly.zero(var)
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return -det if sign < 0 else det
+                row[j] = _divexact(
+                    _sub(_mul(row[j], pivot), _mul(lead, row_k[j])), prev)
+        prev = pivot
+    return UniPoly([Fraction(sign * c, scale) for c in m[-1][-1]], var)
 
 
 def resultant(f: Poly2, g: Poly2, eliminate: str) -> UniPoly:

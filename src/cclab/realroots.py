@@ -3,17 +3,43 @@
 Counting uses Sturm chains computed fraction-free: polynomials are first
 cleared to primitive integer coefficient lists, and the remainder sequence
 applies pseudo-division with positive scaling plus content stripping, which
-keeps coefficient growth polynomial instead of exponential.  Isolation then
-bisects with exact rational endpoints until each interval holds exactly one
-root of the square-free part.  Everything is exact; widths like 1e-9 are
-exact rationals, never floats.
+keeps coefficient growth polynomial instead of exponential.
+
+Isolation and refinement run in integers on one root context per
+polynomial (:class:`RootContext`): its square-free part, with any root at a
+rational region endpoint divided out, over the region [lo, hi] (the Cauchy
+bound stands in for an infinite end).  The region is mapped to t in [0, 1]
+once, by an integer Taylor shift of each Sturm polynomial, so that every
+point the search visits is a dyadic t = j/2^k and every sign is one integer
+Horner pass.  The search returns exactly the intervals of plain bisection
+on [lo, hi]: halve an interval holding several roots, keep one holding one
+root, and halve that until it is narrower than ``DEFAULT_WIDTH``, with a
+midpoint that is itself a root returned exactly.  Four things make it
+cheaper than evaluating that tree point by point:
+
+* the sign variations of the chain are computed once per grid point;
+* a half beyond the Fujiwara bound, rounded up to a power of two, holds no
+  root, which needs no Sturm count;
+* when a midpoint is a root, the width 2*delta of the interval around it is
+  found by galloping and then bisecting on the halving exponent.  "No root
+  at mid +- delta and one root in (mid - delta, mid + delta]" holds exactly
+  when delta is below the distance to the nearest other root, so the test
+  is monotone and the search finds the first delta of the halving loop;
+* refinement is quadratic interval refinement (Abbott 2006) on the
+  isolating interval's own bisection grid at the final level: a secant
+  guess is checked by exact signs at the grid points around it, and a
+  failed guess falls back to one halving.  The root lies in one cell of
+  that grid, or on one of its points, so the result is the same cell, or
+  the same exact root, that halving returns.
+
+Everything is exact; widths like 1e-9 are exact rationals, never floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .polynomials import UniPoly
 
@@ -47,11 +73,8 @@ def _to_int_poly(p: UniPoly) -> list[int]:
     """Primitive integer coefficients with the same sign pattern as p."""
     if p.is_zero():
         return []
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    return _primitive(ints)
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
 def _from_int_poly(coeffs: list[int], var: str) -> UniPoly:
@@ -259,19 +282,6 @@ class RootInterval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class RealRootReport:
-    """Distinct real roots of a polynomial over a region, isolated."""
-
-    poly: UniPoly
-    region: tuple[Fraction | None, Fraction | None]
-    intervals: tuple[RootInterval, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.intervals)
-
-
 def root_bound(p: UniPoly) -> Fraction:
     """A bound M with every real root strictly inside (-M, M) (Cauchy)."""
     if p.is_zero() or p.degree <= 0:
@@ -281,60 +291,283 @@ def root_bound(p: UniPoly) -> Fraction:
     return Fraction(1) + worst / lead
 
 
-def _bisect_region(
-    chain: list[list[int]],
-    sqf: list[int],
-    lo: Fraction,
-    hi: Fraction,
-    count: int,
-    found: list[RootInterval],
-):
-    if count == 0:
-        return
-    if count == 1:
-        found.append(RootInterval(lo, hi))
-        return
-    mid = (lo + hi) / 2
-    if _int_eval_sign(sqf, mid) == 0:
-        found.append(RootInterval(mid, mid, exact=mid))
-        # pick delta with mid the only root in (mid-delta, mid+delta] and the
-        # shifted endpoints themselves not roots
-        delta = (hi - lo) / 4
-        while True:
-            if (_int_eval_sign(sqf, mid - delta) != 0
-                    and _int_eval_sign(sqf, mid + delta) != 0):
-                inner = (_chain_variations_at(chain, mid - delta)
-                         - _chain_variations_at(chain, mid + delta))
-                if inner == 1:
-                    break
-            delta /= 2
-        left_count = (_chain_variations_at(chain, lo)
-                      - _chain_variations_at(chain, mid - delta))
-        right_count = (_chain_variations_at(chain, mid + delta)
-                       - _chain_variations_at(chain, hi))
-        _bisect_region(chain, sqf, lo, mid - delta, left_count, found)
-        _bisect_region(chain, sqf, mid + delta, hi, right_count, found)
-        return
-    left_count = _chain_variations_at(chain, lo) - _chain_variations_at(chain, mid)
-    _bisect_region(chain, sqf, lo, mid, left_count, found)
-    _bisect_region(chain, sqf, mid, hi, count - left_count, found)
+def _fujiwara_bound(coeffs: list[int]) -> Fraction:
+    """A power of two B with every root strictly inside (-B, B).
+
+    Fujiwara: with mu = max_i |a_(d-i) / a_d|^(1/i), p(z) != 0 once
+    |z| >= 2 mu.  Bounding each ratio through bit lengths gives
+    mu <= 2^e, so B = 2^(e + 1).
+    """
+    d = len(coeffs) - 1
+    lead_bits = abs(coeffs[-1]).bit_length()
+    exponent = None
+    for i in range(1, d + 1):
+        c = coeffs[d - i]
+        if c:
+            # |c / lead| < 2^(bits(c) - lead_bits + 1); the ceiling of that
+            # exponent over i
+            e_i = -((lead_bits - 1 - abs(c).bit_length()) // i)
+            exponent = e_i if exponent is None else max(exponent, e_i)
+    # no lower coefficient: the polynomial is a multiple of t, root 0
+    return Fraction(2) ** (exponent + 1) if exponent is not None else Fraction(1)
 
 
-def _refine(sqf: list[int], iv: RootInterval, width: Fraction) -> RootInterval:
-    if iv.exact is not None:
-        return iv
-    lo, hi = iv.lo, iv.hi
-    slo = _int_eval_sign(sqf, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        smid = _int_eval_sign(sqf, mid)
-        if smid == 0:
-            return RootInterval(mid, mid, exact=mid)
-        if smid == slo:
-            lo = mid
+def _taylor_map(coeffs: list[int], num: int, scale: int, den: int) -> list[int]:
+    """den^d * q((num + scale * t) / den) as integer coefficients in t.
+
+    q has degree d; den > 0 and scale > 0, so the result has q's sign at
+    the image of every t.  Homogeneous Horner, O(d^2) integer products.
+    """
+    out = [coeffs[-1]]
+    power = 1
+    for c in reversed(coeffs[:-1]):
+        power *= den
+        nxt = [num * a for a in out]
+        nxt.append(0)
+        for i, a in enumerate(out):
+            nxt[i + 1] += scale * a
+        nxt[0] += c * power
+        out = nxt
+    return out
+
+
+def _value_at(coeffs: list[int], num: int, level: int) -> int:
+    """2^(level * d) * q(num / 2^level): q's sign, and its value at a common
+    scale for every point of one level."""
+    it = reversed(coeffs)
+    total = next(it)
+    shift = 0
+    for c in it:
+        shift += level
+        total = total * num + (c << shift)
+    return total
+
+
+def _first_true(holds) -> int:
+    """The least i >= 0 with holds(i), for a test that fails below some i
+    and holds from there on: gallop up, then bisect."""
+    if holds(0):
+        return 0
+    miss, hit = 0, 1
+    while not holds(hit):
+        miss, hit = hit, 2 * hit
+    while hit - miss > 1:
+        probe = (miss + hit) // 2
+        if holds(probe):
+            hit = probe
         else:
-            hi = mid
-    return RootInterval(lo, hi)
+            miss = probe
+    return hit
+
+
+class RootContext:
+    """A polynomial's square-free part over a region, mapped to t in [0, 1].
+
+    ``sqf`` is the square-free part with any root at a rational region
+    endpoint divided out, so its roots in the region are the polynomial's
+    and none sits on an endpoint.  A point x = (num + scale * t) / den of
+    the region is addressed by its t; ``mapped`` is sqf as a polynomial in
+    t (None when sqf is constant or the region is empty).  One context
+    serves one polynomial's isolation and every later refinement of its
+    intervals; :func:`isolate_real_roots` puts it on the report.
+    """
+
+    __slots__ = ("sqf", "num", "scale", "den", "mapped")
+
+    def __init__(self, p: UniPoly,
+                 region: tuple[Fraction | None, Fraction | None] = (None, None)):
+        if p.is_zero():
+            raise ValueError("cannot isolate roots of the zero polynomial")
+        sqf = square_free_part(p)
+        # a rational endpoint that happens to be a root is excluded from the
+        # open region; divide the corresponding linear factor out so Sturm
+        # counts stay valid without nudging (which could skip a nearby root)
+        for endpoint in region:
+            if endpoint is not None and sqf.eval_at(endpoint) == 0:
+                sqf = sqf.divexact(UniPoly([-endpoint, 1], sqf.var))
+        self.sqf = sqf
+        self.mapped = None
+        if sqf.degree <= 0:
+            return
+        lo, hi = region
+        if lo is None or hi is None:
+            bound = root_bound(sqf)
+            lo = -bound if lo is None else Fraction(lo)
+            hi = bound if hi is None else Fraction(hi)
+        if lo >= hi:
+            return
+        self.den = lcm(lo.denominator, hi.denominator)
+        self.num = lo.numerator * (self.den // lo.denominator)
+        self.scale = hi.numerator * (self.den // hi.denominator) - self.num
+        self.mapped = self._map(_to_int_poly(sqf))
+
+    def _map(self, coeffs: list[int]) -> list[int]:
+        return _taylor_map(coeffs, self.num, self.scale, self.den)
+
+    def _point(self, j: int, level: int) -> Fraction:
+        """The x of t = j / 2^level."""
+        return Fraction((self.num << level) + self.scale * j, self.den << level)
+
+    def _grid(self, x: Fraction) -> tuple[int, int]:
+        """(j, level) with t = j / 2^level the image of x."""
+        t = Fraction(x * self.den - self.num, self.scale)
+        level = t.denominator.bit_length() - 1
+        if t.denominator != 1 << level:
+            raise ValueError("the interval does not come from this root context")
+        return t.numerator, level
+
+    def isolate(self) -> tuple[RootInterval, ...]:
+        """Every root in the region, isolated and refined to DEFAULT_WIDTH."""
+        if self.mapped is None:
+            return ()
+        chain = sturm_chain(self.sqf)
+        # a midpoint at or beyond this bound splits off a half with no root
+        bound = _fujiwara_bound(chain[0])
+        low = Fraction(-bound * self.den - self.num, self.scale)
+        high = Fraction(bound * self.den - self.num, self.scale)
+        chain = [self.mapped] + [self._map(q) for q in chain[1:]]
+        memo: dict[tuple[int, int], int | None] = {}
+
+        def variations(j: int, level: int) -> int | None:
+            """The chain's sign variations at t = j / 2^level, None at a root."""
+            zeros = min((j & -j).bit_length() - 1, level) if j else level
+            j, level = j >> zeros, level - zeros
+            if (j, level) not in memo:
+                values = [_value_at(q, j, level) for q in chain]
+                memo[j, level] = (None if values[0] == 0 else
+                                  _variations([(v > 0) - (v < 0) for v in values]))
+            return memo[j, level]
+
+        found: list[RootInterval] = []
+        # (a, b, k, count): count roots with t in (a / 2^k, b / 2^k]
+        stack = [(0, 1, 0, variations(0, 0) - variations(1, 0))]
+        while stack:
+            a, b, k, count = stack.pop()
+            if count == 1:
+                found.append(self._refine_cell(a, b, k, DEFAULT_WIDTH))
+            if count < 2:
+                continue
+            m, deep = a + b, k + 1
+            left_end = right_end = m
+            if m * low.denominator <= low.numerator << deep:
+                left = 0
+            elif m * high.denominator >= high.numerator << deep:
+                left = count
+            elif (v_mid := variations(m, deep)) is not None:
+                left = variations(a, k) - v_mid
+            else:
+                x = self._point(m, deep)
+                found.append(RootInterval(x, x, exact=x))
+                count -= 1
+
+                # step delta = (b - a) / 2^(k + 2 + i) off the root at mid
+                def ends(i: int) -> tuple[int, int, int]:
+                    return ((m << (i + 1)) - (b - a), (m << (i + 1)) + (b - a),
+                            k + 2 + i)
+
+                def isolates(i: int) -> bool:
+                    lo_end, hi_end, level = ends(i)
+                    v_lo, v_hi = variations(lo_end, level), variations(hi_end, level)
+                    return None not in (v_lo, v_hi) and v_lo - v_hi == 1
+
+                left_end, right_end, deep = ends(_first_true(isolates))
+                left = variations(a, k) - variations(left_end, deep)
+            shift = deep - k
+            stack.append((a << shift, left_end, deep, left))
+            stack.append((right_end, b << shift, deep, count - left))
+        found.sort(key=lambda iv: (iv.lo, iv.hi))
+        return tuple(found)
+
+    def refine(self, iv: RootInterval, width: Fraction) -> RootInterval:
+        """Shrink an interval of this context that isolates one root."""
+        if iv.exact is not None:
+            return iv
+        if self.mapped is None:
+            raise ValueError("the interval does not come from this root context")
+        a, k_lo = self._grid(iv.lo)
+        b, k_hi = self._grid(iv.hi)
+        k = max(k_lo, k_hi)
+        return self._refine_cell(a << (k - k_lo), b << (k - k_hi), k, width)
+
+    def _refine_cell(self, a: int, b: int, k: int,
+                     width: Fraction) -> RootInterval:
+        """The interval t in [a / 2^k, b / 2^k], holding one simple root and
+        none at either end, halved until it is no wider than ``width``.
+
+        Grid point i of level n is (a 2^n + (b - a) i) / 2^(k + n).  The
+        search keeps one cell [i, i + 1] of level ``depth`` with end values
+        va and vb of opposite signs.  A step of q levels guesses the
+        sub-cell from the secant through the two end values and checks it
+        by the signs at its ends; q doubles after a hit, while a miss
+        halves q (to no less than 2) and halves the cell once instead.
+        """
+        mapped, gap, degree = self.mapped, b - a, len(self.mapped) - 1
+
+        def value(i: int, depth: int) -> int:
+            return _value_at(mapped, (a << depth) + gap * i, k + depth)
+
+        def root(i: int, depth: int) -> RootInterval:
+            x = self._point((a << depth) + gap * i, k + depth)
+            return RootInterval(x, x, exact=x)
+
+        ratio = Fraction(self.scale * gap, self.den << k) / width
+        if ratio <= 1:
+            return RootInterval(self._point(a, k), self._point(b, k))
+        n = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+        cell, depth, q = 0, 0, 2
+        va, vb = value(0, 0), value(1, 0)
+        positive = va > 0
+        while depth < n:
+            q = min(q, n - depth)
+            if q >= 2:
+                steps, base, deeper = 1 << q, cell << q, depth + q
+                known = {0: va << (q * degree), steps: vb << (q * degree)}
+
+                def at(i: int) -> int:
+                    if i not in known:
+                        known[i] = value(base + i, deeper)
+                    return known[i]
+
+                diff = va - vb
+                guess = min(max((2 * steps * va + diff) // (2 * diff), 1),
+                            steps - 1)
+                c = guess if (at(guess) > 0) == positive else guess - 1
+                for i in (guess, c, c + 1):
+                    if at(i) == 0:
+                        return root(base + i, deeper)
+                if (at(c) > 0) == positive != (at(c + 1) > 0):
+                    cell, va, vb, depth, q = base + c, at(c), at(c + 1), deeper, 2 * q
+                    continue
+                q = max(2, q // 2)
+            v = value(2 * cell + 1, depth + 1)
+            if v == 0:
+                return root(2 * cell + 1, depth + 1)
+            if (v > 0) == positive:
+                cell, va, vb = 2 * cell + 1, v, vb << degree
+            else:
+                cell, va, vb = 2 * cell, va << degree, v
+            depth += 1
+        lo = (a << n) + gap * cell
+        return RootInterval(self._point(lo, k + n), self._point(lo + gap, k + n))
+
+
+@dataclass(frozen=True)
+class RealRootReport:
+    """Distinct real roots of a polynomial over a region, isolated.
+
+    ``context`` refines the intervals further without recomputing the
+    square-free part (pass it to :func:`refine_root` or
+    :func:`rational_root_in` in place of the polynomial).
+    """
+
+    poly: UniPoly
+    region: tuple[Fraction | None, Fraction | None]
+    intervals: tuple[RootInterval, ...]
+    context: RootContext = field(compare=False, repr=False)
+
+    @property
+    def count(self) -> int:
+        return len(self.intervals)
 
 
 def isolate_real_roots(
@@ -348,32 +581,8 @@ def isolate_real_roots(
     interval has width below ``DEFAULT_WIDTH`` unless the root was pinned
     exactly.
     """
-    if p.is_zero():
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    sqf_poly = square_free_part(p)
-    if sqf_poly.degree <= 0:
-        return RealRootReport(p, region, ())
-    # a rational endpoint that happens to be a root is excluded from the open
-    # region; divide the corresponding linear factor out so Sturm counts stay
-    # valid without nudging (which could skip a nearby root)
-    for endpoint in (region[0], region[1]):
-        if endpoint is not None and sqf_poly.eval_at(endpoint) == 0:
-            sqf_poly = sqf_poly.divexact(UniPoly([-endpoint, 1], sqf_poly.var))
-    if sqf_poly.degree <= 0:
-        return RealRootReport(p, region, ())
-    sqf = _to_int_poly(sqf_poly)
-    chain = sturm_chain(sqf_poly)
-    bound = root_bound(sqf_poly)
-    lo = region[0] if region[0] is not None else -bound
-    hi = region[1] if region[1] is not None else bound
-    if lo >= hi:
-        return RealRootReport(p, region, ())
-    total = _chain_variations_at(chain, lo) - _chain_variations_at(chain, hi)
-    found: list[RootInterval] = []
-    _bisect_region(chain, sqf, lo, hi, total, found)
-    refined = [_refine(sqf, iv, DEFAULT_WIDTH) for iv in found]
-    refined.sort(key=lambda iv: (iv.lo, iv.hi))
-    return RealRootReport(p, region, tuple(refined))
+    context = RootContext(p, region)
+    return RealRootReport(p, region, context.isolate(), context)
 
 
 def positive_real_roots(p: UniPoly) -> RealRootReport:
@@ -381,9 +590,22 @@ def positive_real_roots(p: UniPoly) -> RealRootReport:
     return isolate_real_roots(p, (Fraction(0), None))
 
 
-def refine_root(p: UniPoly, iv: RootInterval, width: Fraction) -> RootInterval:
-    """Shrink an isolating interval of (the square-free part of) p."""
-    return _refine(_to_int_poly(square_free_part(p)), iv, width)
+def _context_for(p: UniPoly | RootContext, iv: RootInterval) -> RootContext:
+    """The given context, or a new one whose region is the interval itself."""
+    return p if isinstance(p, RootContext) else RootContext(p, (iv.lo, iv.hi))
+
+
+def refine_root(p: UniPoly | RootContext, iv: RootInterval,
+                width: Fraction) -> RootInterval:
+    """Shrink an interval holding one root of p in its interior.
+
+    ``p`` may be the polynomial, or the root context of the report the
+    interval came from.  The result is what halving the interval until it
+    is no wider than ``width`` gives.
+    """
+    if iv.exact is not None:
+        return iv
+    return _context_for(p, iv).refine(iv, width)
 
 
 # --- simplest rational in an interval ---------------------------------------
@@ -410,21 +632,21 @@ def simplest_rational_between(a: Fraction, b: Fraction) -> Fraction:
 _PROBE_WIDTH = Fraction(1, 10**24)
 
 
-def rational_root_in(p: UniPoly, iv: RootInterval) -> Fraction | None:
+def rational_root_in(p: UniPoly | RootContext, iv: RootInterval) -> Fraction | None:
     """Detect whether the root isolated by ``iv`` is a (small) rational.
 
     Refines the interval to width 1e-24, then tests the simplest rational
     inside it by exact evaluation.  Returns the rational root, or None when
     the root is irrational or has a denominator too large to surface at
-    this width.
+    this width.  ``p`` may be a root context, as for :func:`refine_root`.
     """
     if iv.exact is not None:
         return iv.exact
-    sqf = square_free_part(p)
-    tight = _refine(_to_int_poly(sqf), iv, _PROBE_WIDTH)
+    context = _context_for(p, iv)
+    tight = context.refine(iv, _PROBE_WIDTH)
     if tight.exact is not None:
         return tight.exact
     candidate = simplest_rational_between(tight.lo, tight.hi)
-    if sqf.eval_at(candidate) == 0:
+    if context.sqf.eval_at(candidate) == 0:
         return candidate
     return None

@@ -37,6 +37,7 @@ from .elimination import resultant
 from .polynomials import Poly2, Rat, UniPoly, _dyadic_outward, _to_fraction
 from .realroots import (
     DEFAULT_WIDTH,
+    RootContext,
     RootInterval,
     count_real_roots,
     isolate_real_roots,
@@ -401,8 +402,8 @@ def real_solutions_2x2(f: Poly2, g: Poly2) -> BranchSolutions:
     try:
         for ivx in roots_a.intervals:
             for ivy in roots_b.intervals:
-                outcome = _certify_cell(
-                    f, g, partials, ivx, ivy, eliminant_a, eliminant_b)
+                outcome = _certify_cell(f, g, partials, ivx, ivy,
+                                        roots_a.context, roots_b.context)
                 if outcome is None:
                     continue
                 kind, box = outcome
@@ -432,8 +433,8 @@ def _certify_cell(
     partials: tuple[Poly2, Poly2, Poly2, Poly2],
     ivx: RootInterval,
     ivy: RootInterval,
-    eliminant_a: UniPoly,
-    eliminant_b: UniPoly,
+    context_a: RootContext,
+    context_b: RootContext,
 ) -> tuple[str, PointBox] | None:
     """Settle one candidate cell: ("point", box), ("unresolved", box), or None.
 
@@ -466,8 +467,8 @@ def _certify_cell(
             return ("point", PointBox(RootInterval(nx[0], nx[1]),
                                       RootInterval(ny[0], ny[1])))
         shrink_width = shrink_width * shrink_width
-        ivx = refine_root(eliminant_a, ivx, shrink_width)
-        ivy = refine_root(eliminant_b, ivy, shrink_width)
+        ivx = refine_root(context_a, ivx, shrink_width)
+        ivy = refine_root(context_b, ivy, shrink_width)
 
 
 # --- singular locus of |R| -----------------------------------------------------

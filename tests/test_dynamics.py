@@ -462,3 +462,19 @@ def test_exact_and_numeric_radii_agree(catalogue):
             assert abs(e.radius - n.radius) < 1e-6
             assert e.stability == n.stability
             assert abs(n.period - TWO_PI) < 1e-6
+
+
+def test_poincare_return_ends_at_the_sink(monkeypatch):
+    """At its own tight tolerances poincare_return still stops where the
+    orbit settles, instead of integrating to t_max = 1e3 (about 60000
+    evaluations) and reporting no return."""
+    section_field = dynamics._section_field
+    for r0 in (1.0, 4.0):
+        calls = []
+        monkeypatch.setattr(
+            dynamics, "_section_field",
+            lambda system: counting_field(section_field(system), calls))
+        with pytest.raises(NoReturnError) as exc:
+            poincare_return(parse_system(GENERIC_CUBIC), r0)
+        assert "settled at the sink (0.371536, -1.45689)" in str(exc.value)
+        assert len(calls) < 10_000

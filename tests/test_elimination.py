@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from _strategies import XY, polys, small_rationals
 from cclab.elimination import bareiss_determinant, resultant, sylvester_matrix
@@ -133,3 +134,61 @@ def test_resultant_detects_shared_point_not_just_factor():
     assert res.eval_at(Fraction(2)) == 0
     assert res.eval_at(Fraction(1)) == 0
     assert res.eval_at(Fraction(0)) != 0
+
+
+# --- integer Bareiss against the UniPoly-entry loop it replaced ----------------
+
+
+def _reference_bareiss(matrix, var):
+    """Bareiss elimination on UniPoly entries with Fraction coefficients."""
+    size = len(matrix)
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = UniPoly.constant(1, var)
+    for k in range(size - 1):
+        if m[k][k].is_zero():
+            pivot_row = next(
+                (i for i in range(k + 1, size) if not m[i][k].is_zero()), None)
+            if pivot_row is None:
+                return UniPoly.zero(var)
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).divexact(prev)
+            m[i][k] = UniPoly.zero(var)
+        prev = m[k][k]
+    det = m[size - 1][size - 1]
+    return -det if sign < 0 else det
+
+
+_big_denominators = st.fractions(min_value=Fraction(-10), max_value=Fraction(10),
+                                 max_denominator=10 ** 12)
+
+
+@given(polys(max_terms=5), polys(max_terms=5),
+       st.lists(_big_denominators, min_size=2, max_size=2),
+       st.sampled_from(XY))
+def test_resultant_equals_unipoly_bareiss(f, g, scales, var):
+    assume(f.degree_in(var) >= 1 and g.degree_in(var) >= 1)
+    assume(all(scales))
+    f, g = f.scale(scales[0]), g.scale(scales[1])
+    survivor = XY[1 - XY.index(var)]
+    expected = _reference_bareiss(sylvester_matrix(f, g, var), survivor)
+    assert resultant(f, g, var) == expected
+
+
+def test_bareiss_pivots_past_zero_entries():
+    y = UniPoly.variable("y")
+    zero, half = UniPoly.zero("y"), UniPoly.constant(Fraction(1, 2), "y")
+    matrices = [
+        [[zero, y], [half, zero]],
+        [[zero, half, y], [y * y, zero, half], [half, y, zero]],
+        [[zero, zero, y], [zero, half, zero], [y, zero, zero]],
+        [[y, half], [y * 2, half * 2]],  # singular
+    ]
+    for matrix in matrices:
+        expected = _reference_bareiss(matrix, "y")
+        assert bareiss_determinant(matrix, "y") == expected
+    assert bareiss_determinant(matrices[0], "y") == y * Fraction(-1, 2)
+    assert bareiss_determinant(matrices[3], "y").is_zero()

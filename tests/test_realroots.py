@@ -7,7 +7,11 @@ from hypothesis import given, strategies as st
 
 from cclab.polynomials import UniPoly
 from cclab.realroots import (
+    DEFAULT_WIDTH,
     RootInterval,
+    _chain_variations_at,
+    _int_eval_sign,
+    _to_int_poly,
     count_real_roots,
     isolate_real_roots,
     positive_real_roots,
@@ -267,3 +271,180 @@ def test_simplest_rational_is_inside_and_minimal(a, b):
         import math
         first = math.ceil(lo * den)
         assert Fraction(first, den) > hi or Fraction(first, den) < lo
+
+
+# --- the integer kernel against the Fraction bisection it replaced -------------
+
+# The Fraction isolation and refinement that the integer root context
+# replaced, kept as the reference: plain bisection on rational endpoints,
+# with the chain's sign variations recomputed at every node.
+
+
+def _reference_sqf(p: UniPoly, region) -> list[int]:
+    """The square-free part with roots at finite region ends divided out."""
+    sqf = square_free_part(p)
+    for endpoint in region:
+        if endpoint is not None and sqf.eval_at(endpoint) == 0:
+            sqf = sqf.divexact(UniPoly([-endpoint, 1], sqf.var))
+    return sqf
+
+
+def _reference_bisect_region(chain, sqf, lo, hi, count, found):
+    if count == 0:
+        return
+    if count == 1:
+        found.append(RootInterval(lo, hi))
+        return
+    mid = (lo + hi) / 2
+    if _int_eval_sign(sqf, mid) == 0:
+        found.append(RootInterval(mid, mid, exact=mid))
+        delta = (hi - lo) / 4
+        while True:
+            if (_int_eval_sign(sqf, mid - delta) != 0
+                    and _int_eval_sign(sqf, mid + delta) != 0):
+                inner = (_chain_variations_at(chain, mid - delta)
+                         - _chain_variations_at(chain, mid + delta))
+                if inner == 1:
+                    break
+            delta /= 2
+        left_count = (_chain_variations_at(chain, lo)
+                      - _chain_variations_at(chain, mid - delta))
+        right_count = (_chain_variations_at(chain, mid + delta)
+                       - _chain_variations_at(chain, hi))
+        _reference_bisect_region(chain, sqf, lo, mid - delta, left_count, found)
+        _reference_bisect_region(chain, sqf, mid + delta, hi, right_count, found)
+        return
+    left_count = _chain_variations_at(chain, lo) - _chain_variations_at(chain, mid)
+    _reference_bisect_region(chain, sqf, lo, mid, left_count, found)
+    _reference_bisect_region(chain, sqf, mid, hi, count - left_count, found)
+
+
+def _reference_refine(sqf, iv, width):
+    if iv.exact is not None:
+        return iv
+    lo, hi = iv.lo, iv.hi
+    slo = _int_eval_sign(sqf, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        smid = _int_eval_sign(sqf, mid)
+        if smid == 0:
+            return RootInterval(mid, mid, exact=mid)
+        if smid == slo:
+            lo = mid
+        else:
+            hi = mid
+    return RootInterval(lo, hi)
+
+
+def _reference_isolate(p, region=(None, None)):
+    sqf_poly = _reference_sqf(p, region)
+    if sqf_poly.degree <= 0:
+        return ()
+    sqf = _to_int_poly(sqf_poly)
+    chain = sturm_chain(sqf_poly)
+    bound = root_bound(sqf_poly)
+    lo = region[0] if region[0] is not None else -bound
+    hi = region[1] if region[1] is not None else bound
+    if lo >= hi:
+        return ()
+    total = _chain_variations_at(chain, lo) - _chain_variations_at(chain, hi)
+    found = []
+    _reference_bisect_region(chain, sqf, lo, hi, total, found)
+    refined = [_reference_refine(sqf, iv, DEFAULT_WIDTH) for iv in found]
+    return tuple(sorted(refined, key=lambda iv: (iv.lo, iv.hi)))
+
+
+def _reference_rational_root_in(sqf_poly, iv):
+    if iv.exact is not None:
+        return iv.exact
+    tight = _reference_refine(_to_int_poly(sqf_poly), iv, Fraction(1, 10**24))
+    if tight.exact is not None:
+        return tight.exact
+    candidate = simplest_rational_between(tight.lo, tight.hi)
+    return candidate if sqf_poly.eval_at(candidate) == 0 else None
+
+
+# Roots on the dyadic grid of the regions below (0 is the first midpoint
+# of every symmetric region), pairs closer than 1e-9, and rationals with
+# large denominators; the quadratic factors add irrational roots.
+_dyadic_roots = st.builds(lambda n, k: Fraction(n, 2 ** k),
+                          st.integers(-16, 16), st.integers(0, 4))
+_wide_roots = st.fractions(min_value=Fraction(-8), max_value=Fraction(8),
+                           max_denominator=10 ** 15)
+
+
+@st.composite
+def _root_sets(draw):
+    roots = draw(st.lists(st.one_of(_dyadic_roots, _wide_roots),
+                          max_size=4, unique=True))
+    if roots and draw(st.booleans()):
+        gap = Fraction(1, draw(st.integers(10 ** 9 + 1, 10 ** 12)))
+        roots.append(roots[0] + gap)
+    return sorted(set(roots))
+
+
+@st.composite
+def _oracle_polys(draw):
+    p = build(draw(_root_sets()), [])
+    for c in draw(st.lists(st.fractions(min_value=Fraction(1, 8),
+                                        max_value=Fraction(9),
+                                        max_denominator=10 ** 6),
+                           max_size=2)):
+        p = p * UniPoly([-c, 0, 1])  # roots +- sqrt(c)
+    if draw(st.booleans()):
+        p = p * p
+    scale = draw(st.fractions(min_value=Fraction(1, 10 ** 6),
+                              max_value=Fraction(10 ** 6),
+                              max_denominator=10 ** 9).filter(bool))
+    return p.scale(scale)
+
+
+_regions = st.one_of(
+    st.just((None, None)),
+    st.just((Fraction(0), None)),
+    st.sampled_from([(Fraction(-1), Fraction(1)), (Fraction(-2), Fraction(2)),
+                     (Fraction(0), Fraction(1)), (Fraction(-1, 2), None),
+                     (None, Fraction(1, 4))]),
+    st.tuples(_dyadic_roots, st.none()),
+)
+
+
+@given(_oracle_polys(), _regions)
+def test_isolation_equals_fraction_bisection(p, region):
+    if p.degree <= 0:
+        return
+    report = isolate_real_roots(p, region)
+    assert report.intervals == _reference_isolate(p, region)
+    if region == (Fraction(0), None):
+        assert positive_real_roots(p).intervals == report.intervals
+
+
+@given(_oracle_polys(), _regions, st.sampled_from([DEFAULT_WIDTH,
+                                                   Fraction(1, 10 ** 30)]))
+def test_refinement_equals_fraction_bisection(p, region, width):
+    if p.degree <= 0:
+        return
+    report = isolate_real_roots(p, region)
+    reduced = _reference_sqf(p, region)
+    for iv in report.intervals:
+        expected = _reference_refine(_to_int_poly(reduced), iv, width)
+        assert refine_root(report.context, iv, width) == expected
+        assert (rational_root_in(report.context, iv)
+                == _reference_rational_root_in(reduced, iv))
+        if region == (None, None):
+            # without a region no interval ends on a root of p
+            assert refine_root(p, iv, width) == expected
+            assert (rational_root_in(p, iv)
+                    == _reference_rational_root_in(square_free_part(p), iv))
+
+
+def test_midpoint_roots_take_the_halving_loops_delta():
+    """0 is the first midpoint of a symmetric bound and 1/2 one of [-1, 1]'s;
+    the nearest other root decides how far the loop halves delta."""
+    for near in (Fraction(1, 3), Fraction(1, 10 ** 6), Fraction(1, 10 ** 11)):
+        p = T * linear(near) * linear(Fraction(-5, 7)) * UniPoly([-2, 0, 1])
+        assert isolate_real_roots(p).intervals == _reference_isolate(p)
+        q = linear(Fraction(1, 2)) * linear(Fraction(1, 2) + near) * linear(-near)
+        region = (Fraction(-1), Fraction(1))
+        assert (isolate_real_roots(q, region).intervals
+                == _reference_isolate(q, region))

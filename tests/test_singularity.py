@@ -364,3 +364,30 @@ def test_two_cycle_criteria_regression(curvatures, loci, analyses):
     assert report.assertion_A == A_FAILS_R_NEGATIVE
     assert report.assertion_B_count == 0
     assert analyses["s1a"].cycles_exact.cycle_count == 2
+
+
+@pytest.mark.parametrize("dx, dy", [
+    # the generic cubic: every cell is settled without refinement
+    ("-y + x^3 - 2*x*y^2 + x^2/2", "x + 3*x^2*y - y^3/4 + x*y"),
+    # its irrational cell needs five rounds of refinement of both
+    # coordinates before it is left unresolved
+    ("-3/32768*x^2*y - 3/16384*x^3", "1 + 3/64*y + 1/8192*x^3"),
+])
+def test_one_square_free_part_per_eliminant(monkeypatch, dx, dy):
+    """Isolation builds one root context per eliminant, and the cell
+    certification refines through it instead of recomputing the
+    square-free part."""
+    from cclab import realroots
+    system = parse_system(f"vars: x y\ndx = {dx}\ndy = {dy}\n")
+    calls = []
+    square_free_part = realroots.square_free_part
+
+    def counted(p):
+        calls.append(p)
+        return square_free_part(p)
+
+    monkeypatch.setattr(realroots, "square_free_part", counted)
+    result = real_solutions_2x2(system.P, system.Q)
+    assert result.status == POINTS and result.points
+    for eliminant in (result.eliminant_x, result.eliminant_y):
+        assert sum(1 for p in calls if p == eliminant) == 1
