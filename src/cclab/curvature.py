@@ -231,9 +231,10 @@ def numeric_curvature_probe(system: PlanarSystem, px: float,
     g11_b = g11.partial(b)
 
     def as_float(poly: Poly2, fx: float, fy: float) -> float:
+        n, d = poly.content.numerator, poly.content.denominator
         total = 0.0
-        for (i, j), c in poly.terms.items():
-            total += float(c) * fx**i * fy**j
+        for (i, j), c in poly.ints.items():
+            total += n * c / d * fx**i * fy**j
         return total
 
     def ratio_x(fx: float, fy: float) -> float:

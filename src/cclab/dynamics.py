@@ -94,10 +94,11 @@ class EquilibriumCaptureError(RuntimeError):
 def _poly_expr(poly: Poly2) -> str:
     """A float expression for one polynomial in x, y and their powers x2, y3..."""
     pieces = []
-    for (i, j), c in sorted(poly.terms.items()):
+    n, d = poly.content.numerator, poly.content.denominator
+    for (i, j), c in sorted(poly.ints.items()):
         factors = [v if k == 1 else f"{v}{k}"
                    for v, k in (("x", i), ("y", j)) if k > 0]
-        c = float(c)
+        c = n * c / d  # correctly rounded, as float(Fraction) is
         if not factors:
             pieces.append(repr(c))
         elif c == 1.0 or c == -1.0:
@@ -111,7 +112,7 @@ def _powers_source(polys) -> str:
     """Lines binding x2 = x * x, x3 = x2 * x, ... as far as polys need."""
     lines = []
     for axis, v in ((0, "x"), (1, "y")):
-        top = max((m[axis] for p in polys for m in p.terms), default=0)
+        top = max((m[axis] for p in polys for m in p.ints), default=0)
         for k in range(2, top + 1):
             lower = v if k == 2 else f"{v}{k - 1}"
             lines.append(f"    {v}{k} = {lower} * {v}\n")
@@ -500,8 +501,7 @@ def _as_poly_in_square_radius(flat: Poly2) -> UniPoly | None:
     degree = flat.total_degree
     if degree % 2 != 0:
         return None
-    coeffs = [flat.terms.get((2 * k, 0), Fraction(0))
-              for k in range(degree // 2 + 1)]
+    coeffs = [flat.coefficient(2 * k, 0) for k in range(degree // 2 + 1)]
     s_poly = Poly2({(2, 0): Fraction(1), (0, 2): Fraction(1)}, varnames)
     rebuilt = Poly2.zero(varnames)
     power = Poly2.constant(1, varnames)

@@ -2,11 +2,18 @@
 
 Two representations cover everything the analysis needs:
 
-* ``Poly2`` -- bivariate polynomials stored sparsely as a map from exponent
-  pairs ``(i, j)`` to nonzero ``Fraction`` coefficients.  The pair of variable
+* ``Poly2`` -- bivariate polynomials, stored sparsely as one rational
+  content times a primitive integer polynomial: a ``Fraction`` and a map
+  from exponent pairs ``(i, j)`` to nonzero Python ints with gcd 1, whose
+  coefficient at the lex-largest pair is positive.  The pair of variable
   names travels with the polynomial so that mixing systems written in
   different coordinates is rejected instead of silently reinterpreted.
 * ``UniPoly`` -- univariate polynomials stored densely, lowest degree first.
+
+Every ``Poly2`` operation runs on the integer maps and touches the content
+once.  Gauss's lemma (a product of primitive polynomials is primitive)
+makes products need no gcd and makes exact division over the rationals
+the same as exact division of the primitive parts over the integers.
 
 Everything in this module is exact; no floats are produced or consumed.
 The degree of the zero polynomial is -1 by convention.
@@ -16,9 +23,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 Rat = Union[int, Fraction]
+
+IntTerms = dict[tuple[int, int], int]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+_second = itemgetter(1)
 
 
 def _to_fraction(value: Rat) -> Fraction:
@@ -39,15 +54,42 @@ def _check_varnames(varnames: tuple[str, str]) -> tuple[str, str]:
     return (a, b)
 
 
+def _normal_form(content: Fraction, ints: IntTerms) -> tuple[Fraction, IntTerms]:
+    """``content * ints`` as (content, primitive map with positive lead)."""
+    ints = {key: c for key, c in ints.items() if c}
+    if not ints or not content:
+        return _ZERO, {}
+    g = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {key: c // g for key, c in ints.items()}
+        content = content * g
+    return content, ints
+
+
 class Poly2:
     """A bivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps ``(i, j)`` exponent pairs to nonzero coefficients; the
-    canonical form never stores a zero coefficient.  Instances are treated
-    as immutable: all operations return new polynomials.
+    The polynomial is ``content * sum(c * x**i * y**j)`` over the items
+    ``(i, j): c`` of ``ints``.  ``ints`` is primitive (its ints have gcd 1),
+    never stores a zero, and its coefficient at the lex-largest pair
+    ``max(ints)`` is positive; the zero polynomial is content 0 with an
+    empty map.  This form is unique, so ``==`` compares the pairs.
+
+    By Gauss's lemma a product of primitive polynomials is primitive, and
+    lex order is a monomial order, so ``__mul__`` multiplies the maps and
+    the contents and is done.  The same lemma makes an exact quotient of
+    primitive parts an integer polynomial: ``try_divide`` runs the
+    division algorithm over the integers, and a leading coefficient that
+    does not divide proves the quotient inexact over the rationals too.
+
+    ``terms`` is the ``{(i, j): Fraction}`` view, built on each access.
+    Instances are immutable (polynomials may share one ``ints`` map), and
+    all operations return new polynomials.
     """
 
-    __slots__ = ("terms", "varnames", "_integer_form")
+    __slots__ = ("content", "ints", "varnames")
 
     def __init__(self, terms: Mapping[tuple[int, int], Rat], varnames: tuple[str, str]):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -57,9 +99,29 @@ class Poly2:
             coeff = _to_fraction(c)
             if coeff != 0:
                 clean[(i, j)] = coeff
-        object.__setattr__(self, "terms", clean)
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        content, ints = _normal_form(
+            Fraction(1, den),
+            {key: c.numerator * (den // c.denominator) for key, c in clean.items()})
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "varnames", _check_varnames(tuple(varnames)))
-        object.__setattr__(self, "_integer_form", None)
+
+    @classmethod
+    def _primitive(cls, content: Fraction, ints: IntTerms,
+                   varnames: tuple[str, str]) -> Poly2:
+        """A polynomial from a pair already in normal form."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "content", content)
+        object.__setattr__(poly, "ints", ints)
+        object.__setattr__(poly, "varnames", varnames)
+        return poly
+
+    @classmethod
+    def _make(cls, content: Fraction, ints: IntTerms,
+              varnames: tuple[str, str]) -> Poly2:
+        """``content * ints`` for any integer map: one gcd brings it to normal form."""
+        return cls._primitive(*_normal_form(content, ints), varnames)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly2 is immutable")
@@ -68,38 +130,49 @@ class Poly2:
 
     @classmethod
     def zero(cls, varnames: tuple[str, str]) -> Poly2:
-        return cls({}, varnames)
+        return cls._primitive(_ZERO, {}, _check_varnames(tuple(varnames)))
 
     @classmethod
     def constant(cls, value: Rat, varnames: tuple[str, str]) -> Poly2:
-        return cls({(0, 0): value}, varnames)
+        value = _to_fraction(value)
+        if not value:
+            return cls.zero(varnames)
+        return cls._primitive(value, {(0, 0): 1}, _check_varnames(tuple(varnames)))
 
     @classmethod
     def variable(cls, name: str, varnames: tuple[str, str]) -> Poly2:
         if name == varnames[0]:
-            return cls({(1, 0): 1}, varnames)
-        if name == varnames[1]:
-            return cls({(0, 1): 1}, varnames)
-        raise ValueError(f"unknown variable {name!r} for {varnames}")
+            key = (1, 0)
+        elif name == varnames[1]:
+            key = (0, 1)
+        else:
+            raise ValueError(f"unknown variable {name!r} for {varnames}")
+        return cls._primitive(_ONE, {key: 1}, _check_varnames(tuple(varnames)))
 
     # --- structure ---
 
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero coefficients as ``{(i, j): Fraction}``; a new dict."""
+        n, d = self.content.numerator, self.content.denominator
+        return {key: Fraction(n * c, d) for key, c in self.ints.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     @property
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(i + j for i, j in self.terms)
+        return max(i + j for i, j in self.ints)
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         idx = self._axis(var)
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(key[idx] for key in self.terms)
+        return max(key[idx] for key in self.ints)
 
     def _axis(self, var: str) -> int:
         if var == self.varnames[0]:
@@ -108,15 +181,19 @@ class Poly2:
             return 1
         raise ValueError(f"unknown variable {var!r} for {self.varnames}")
 
+    def _max_exponents(self) -> tuple[int, int]:
+        """Top powers of x and of y; the lex-largest pair holds the first."""
+        return (max(self.ints)[0], max(map(_second, self.ints)))
+
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return self.content * self.ints.get((i, j), 0)
 
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, or None if not constant."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {(0, 0)}:
-            return self.terms[(0, 0)]
+        if not self.ints:
+            return _ZERO
+        if len(self.ints) == 1 and (0, 0) in self.ints:
+            return self.content
         return None
 
     # --- arithmetic ---
@@ -132,42 +209,60 @@ class Poly2:
             return Poly2.constant(other, self.varnames)
         return None
 
+    def _plus(self, content: Fraction, ints: IntTerms) -> Poly2:
+        """self + content * ints, over the lcm of the two denominators."""
+        if not ints:
+            return self
+        if not self.ints:
+            return Poly2._primitive(content, ints, self.varnames)
+        c1, c2 = self.content, content
+        den = math.lcm(c1.denominator, c2.denominator)
+        a1 = c1.numerator * (den // c1.denominator)
+        a2 = c2.numerator * (den // c2.denominator)
+        g = math.gcd(a1, a2)
+        a1 //= g
+        a2 //= g
+        out = {key: a1 * c for key, c in self.ints.items()}
+        get = out.get
+        for key, c in ints.items():
+            out[key] = get(key, 0) + a2 * c
+        return Poly2._make(Fraction(g, den), out, self.varnames)
+
     def __add__(self, other) -> Poly2:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in rhs.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly2(out, self.varnames)
+        return self._plus(rhs.content, rhs.ints)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly2:
-        return Poly2({key: -c for key, c in self.terms.items()}, self.varnames)
+        return Poly2._primitive(-self.content, self.ints, self.varnames)
 
     def __sub__(self, other) -> Poly2:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._plus(-rhs.content, rhs.ints)
 
     def __rsub__(self, other) -> Poly2:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._plus(-self.content, self.ints)
 
     def __mul__(self, other) -> Poly2:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in rhs.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly2(out, self.varnames)
+        if not self.ints or not rhs.ints:
+            return Poly2.zero(self.varnames)
+        # Gauss's lemma: the product is primitive, and its lex-leading
+        # coefficient is the product of two positive ones
+        out = _mul_ints(self.ints, rhs.ints)
+        return Poly2._primitive(self.content * rhs.content,
+                                {key: c for key, c in out.items() if c},
+                                self.varnames)
 
     __rmul__ = __mul__
 
@@ -186,14 +281,17 @@ class Poly2:
 
     def scale(self, factor: Rat) -> Poly2:
         f = _to_fraction(factor)
-        return Poly2({key: c * f for key, c in self.terms.items()}, self.varnames)
+        if not f:
+            return Poly2.zero(self.varnames)
+        return Poly2._primitive(self.content * f, self.ints, self.varnames)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly2.constant(other, self.varnames)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self.varnames == other.varnames and self.terms == other.terms
+        return (self.varnames == other.varnames and self.content == other.content
+                and self.ints == other.ints)
 
     __hash__ = None  # mutable mapping inside; identity hashing would mislead
 
@@ -201,44 +299,23 @@ class Poly2:
 
     def partial(self, var: str) -> Poly2:
         """Exact partial derivative with respect to one of the two variables."""
-        idx = self._axis(var)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            e = (i, j)[idx]
-            if e == 0:
-                continue
-            key = (i - 1, j) if idx == 0 else (i, j - 1)
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return Poly2(out, self.varnames)
-
-    def _integer(self) -> tuple[int, int, int, list[tuple[int, int, int]]]:
-        """The polynomial over one common denominator, as Python ints.
-
-        Returns ``(den, max_i, max_j, [(i, j, c), ...])`` with self equal to
-        the sum of ``c * x**i * y**j`` divided by ``den``.  Computed on first
-        use and kept, so the evaluation kernels clear denominators once.
-        """
-        form = self._integer_form
-        if form is None:
-            den = math.lcm(*(c.denominator for c in self.terms.values()))
-            form = (den,
-                    max(i for i, _ in self.terms),
-                    max(j for _, j in self.terms),
-                    [(i, j, c.numerator * (den // c.denominator))
-                     for (i, j), c in self.terms.items()])
-            object.__setattr__(self, "_integer_form", form)
-        return form
+        if self._axis(var) == 0:
+            out = {(i - 1, j): c * i for (i, j), c in self.ints.items() if i}
+        else:
+            out = {(i, j - 1): c * j for (i, j), c in self.ints.items() if j}
+        return Poly2._make(self.content, out, self.varnames)
 
     def eval_at(self, px: Rat, py: Rat) -> Fraction:
         """Exact evaluation at a rational point."""
         fx, fy = _to_fraction(px), _to_fraction(py)
-        if not self.terms:
-            return Fraction(0)
-        den, max_i, max_j, terms = self._integer()
+        if not self.ints:
+            return _ZERO
+        max_i, max_j = self._max_exponents()
         xp = _homogeneous_powers(fx.numerator, fx.denominator, max_i)
         yp = _homogeneous_powers(fy.numerator, fy.denominator, max_j)
-        total = sum(c * xp[i] * yp[j] for i, j, c in terms)
-        return Fraction(total, den * fx.denominator ** max_i
+        total = sum(c * xp[i] * yp[j] for (i, j), c in self.ints.items())
+        return Fraction(total * self.content.numerator,
+                        self.content.denominator * fx.denominator ** max_i
                         * fy.denominator ** max_j)
 
     def eval_box(
@@ -258,13 +335,13 @@ class Poly2:
         ylo, yhi = _to_fraction(iy[0]), _to_fraction(iy[1])
         if xlo > xhi or ylo > yhi:
             raise ValueError("box endpoints out of order")
-        if not self.terms:
-            return (Fraction(0), Fraction(0))
-        den, max_i, max_j, terms = self._integer()
+        if not self.ints:
+            return (_ZERO, _ZERO)
+        max_i, max_j = self._max_exponents()
         xp, dx = _homogeneous_interval_powers(_dyadic_outward((xlo, xhi)), max_i)
         yp, dy = _homogeneous_interval_powers(_dyadic_outward((ylo, yhi)), max_j)
         lo = hi = 0
-        for i, j, c in terms:
+        for (i, j), c in self.ints.items():
             a0, a1 = xp[i]
             b0, b1 = yp[j]
             products = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
@@ -274,8 +351,11 @@ class Poly2:
             else:
                 lo += c * max(products)
                 hi += c * min(products)
-        scale = den * dx ** max_i * dy ** max_j
-        return (Fraction(lo, scale), Fraction(hi, scale))
+        n = self.content.numerator
+        if n < 0:
+            lo, hi = hi, lo
+        scale = self.content.denominator * dx ** max_i * dy ** max_j
+        return (Fraction(lo * n, scale), Fraction(hi * n, scale))
 
     def subs_linear(
         self,
@@ -289,30 +369,41 @@ class Poly2:
         old variable becomes ``a*u + b*v + e`` and the second ``c*u + d*v + f``
         where ``(u, v)`` are the new variables.  The result is expanded to
         canonical form over ``new_varnames``.
+
+        Each image is cleared to an integer linear form over its
+        denominator, ``X / dx`` and ``Y / dy``; the sum of
+        ``c * X**i * dx**(I - i) * Y**j * dy**(J - j)`` over the integer
+        terms, with I and J the top exponents, is then the image times
+        ``dx**I * dy**J / content``.
         """
+        new_varnames = _check_varnames(tuple(new_varnames))
         (a, b), (c, d) = matrix
         e, f = offset
-        new_x = Poly2({(1, 0): _to_fraction(a), (0, 1): _to_fraction(b),
-                       (0, 0): _to_fraction(e)}, new_varnames)
-        new_y = Poly2({(1, 0): _to_fraction(c), (0, 1): _to_fraction(d),
-                       (0, 0): _to_fraction(f)}, new_varnames)
-        if not self.terms:
+        new_x, dx = _int_linear(a, b, e)
+        new_y, dy = _int_linear(c, d, f)
+        if not self.ints:
             return Poly2.zero(new_varnames)
-        max_i = max(i for i, _ in self.terms)
-        max_j = max(j for _, j in self.terms)
-        xp = _poly_power_table(new_x, max_i)
-        yp = _poly_power_table(new_y, max_j)
-        total = Poly2.zero(new_varnames)
-        for (i, j), coeff in self.terms.items():
-            total = total + (xp[i] * yp[j]).scale(coeff)
-        return total
+        max_i, max_j = self._max_exponents()
+        xp = _int_power_table(new_x, max_i)
+        yp = _int_power_table(new_y, max_j)
+        total: IntTerms = {}
+        get = total.get
+        for (i, j), coeff in self.ints.items():
+            weight = coeff * dx ** (max_i - i) * dy ** (max_j - j)
+            for key, v in _mul_ints(xp[i], yp[j]).items():
+                total[key] = get(key, 0) + weight * v
+        return Poly2._make(self.content / (dx ** max_i * dy ** max_j), total,
+                           new_varnames)
 
     def try_divide(self, divisor: Poly2) -> Poly2 | None:
         """Exact multivariate division: self / divisor, or None if not exact.
 
-        Runs the single-divisor division algorithm under lexicographic order;
-        since leading monomials multiply under that order, a non-divisible
-        leading term proves inexactness immediately.
+        Runs the single-divisor division algorithm on the primitive parts
+        under lexicographic order.  An exact quotient of primitive parts is
+        a primitive integer polynomial (Gauss's lemma), and each step finds
+        one of its coefficients, so a leading term whose monomial or
+        integer coefficient does not divide proves inexactness at once.
+        The quotient's content is the ratio of the two contents.
         """
         if divisor.varnames != self.varnames:
             raise ValueError(
@@ -321,25 +412,42 @@ class Poly2:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly2.zero(self.varnames)
-        div_lead = max(divisor.terms)
-        div_lc = divisor.terms[div_lead]
-        rem = dict(self.terms)
-        quot: dict[tuple[int, int], Fraction] = {}
+        div_lead = max(divisor.ints)
+        div_lc = divisor.ints[div_lead]
+        div_terms = list(divisor.ints.items())
+        rem = dict(self.ints)
+        quot: IntTerms = {}
         while rem:
             lead = max(rem)
             if lead[0] < div_lead[0] or lead[1] < div_lead[1]:
                 return None
-            qkey = (lead[0] - div_lead[0], lead[1] - div_lead[1])
-            qc = rem[lead] / div_lc
-            quot[qkey] = qc
-            for (i, j), c in divisor.terms.items():
-                key = (qkey[0] + i, qkey[1] + j)
-                value = rem.get(key, Fraction(0)) - qc * c
-                if value == 0:
-                    rem.pop(key, None)
-                else:
+            qc, r = divmod(rem[lead], div_lc)
+            if r:
+                return None
+            qi, qj = lead[0] - div_lead[0], lead[1] - div_lead[1]
+            quot[(qi, qj)] = qc
+            for (i, j), c in div_terms:
+                key = (qi + i, qj + j)
+                value = rem.get(key, 0) - qc * c
+                if value:
                     rem[key] = value
-        return Poly2(quot, self.varnames)
+                else:
+                    del rem[key]
+        return Poly2._primitive(self.content / divisor.content, quot, self.varnames)
+
+    def _int_rows(self, var: str) -> list[dict[int, int]]:
+        """Integer terms by powers of ``var``: row k maps survivor powers to ints.
+
+        Row ``k`` times ``content`` is the coefficient of ``var**k``.
+        """
+        idx = self._axis(var)
+        if not self.ints:
+            return []
+        rows: list[dict[int, int]] = [
+            {} for _ in range(max(key[idx] for key in self.ints) + 1)]
+        for key, c in self.ints.items():
+            rows[key[idx]][key[1 - idx]] = c
+        return rows
 
     def coeffs_in(self, var: str) -> list[UniPoly]:
         """Coefficients by powers of ``var``, each a UniPoly in the survivor.
@@ -347,22 +455,12 @@ class Poly2:
         Entry ``k`` is the coefficient of ``var**k``.  Returns ``[]`` for the
         zero polynomial.
         """
-        idx = self._axis(var)
-        survivor = self.varnames[1 - idx]
-        if not self.terms:
-            return []
-        deg = max(key[idx] for key in self.terms)
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(deg + 1)]
-        for (i, j), c in self.terms.items():
-            own, other = (i, j) if idx == 0 else (j, i)
-            rows[own][other] = c
+        survivor = self.varnames[1 - self._axis(var)]
+        n, d = self.content.numerator, self.content.denominator
         out = []
-        for row in rows:
-            if row:
-                size = max(row) + 1
-                coeffs = [row.get(k, Fraction(0)) for k in range(size)]
-            else:
-                coeffs = []
+        for row in self._int_rows(var):
+            coeffs = ([Fraction(n * row.get(k, 0), d) for k in range(max(row) + 1)]
+                      if row else [])
             out.append(UniPoly(coeffs, survivor))
         return out
 
@@ -430,10 +528,30 @@ def _homogeneous_interval_powers(
     return table, d
 
 
-def _poly_power_table(p: Poly2, upto: int) -> list[Poly2]:
-    table = [Poly2.constant(1, p.varnames)]
+def _mul_ints(p: IntTerms, q: IntTerms) -> IntTerms:
+    """Product of two integer term maps; cancelled terms stay as zeros."""
+    out: IntTerms = {}
+    get = out.get
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _int_linear(a: Rat, b: Rat, e: Rat) -> tuple[IntTerms, int]:
+    """``a*u + b*v + e`` as (integer term map, d): the form is the map over d."""
+    a, b, e = _to_fraction(a), _to_fraction(b), _to_fraction(e)
+    d = math.lcm(a.denominator, b.denominator, e.denominator)
+    terms = {(1, 0): a, (0, 1): b, (0, 0): e}
+    return ({key: c.numerator * (d // c.denominator)
+             for key, c in terms.items() if c}, d)
+
+
+def _int_power_table(p: IntTerms, upto: int) -> list[IntTerms]:
+    table = [{(0, 0): 1}]
     for _ in range(upto):
-        table.append(table[-1] * p)
+        table.append(_mul_ints(table[-1], p))
     return table
 
 
@@ -634,20 +752,24 @@ def _format_monomial(i: int, j: int, varnames: tuple[str, str]) -> str:
 
 
 def format_poly2(p: Poly2) -> str:
-    if not p.terms:
+    if not p.ints:
         return "0"
-    keys = sorted(p.terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
+    keys = sorted(p.ints, key=lambda k: (-(k[0] + k[1]), -k[0]))
+    n, d = p.content.numerator, p.content.denominator
     pieces: list[str] = []
     for key in keys:
-        c = p.terms[key]
+        # the coefficient n*c/d in lowest terms, printed as str(Fraction) would
+        c = n * p.ints[key]
+        g = math.gcd(c, d)
+        num, den = abs(c) // g, d // g
+        mag = str(num) if den == 1 else f"{num}/{den}"
         mono = _format_monomial(key[0], key[1], p.varnames)
-        mag = abs(c)
-        if mono and mag == 1:
+        if mono and mag == "1":
             body = mono
         elif mono:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         else:
-            body = _format_coeff(mag)
+            body = mag
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -612,21 +612,36 @@ def refine_root(p: UniPoly | RootContext, iv: RootInterval,
 
 
 def simplest_rational_between(a: Fraction, b: Fraction) -> Fraction:
-    """The rational with the smallest denominator (then numerator) in [a, b]."""
+    """The rational with the smallest denominator (then numerator) in [a, b].
+
+    Expands both endpoints as continued fractions until they part, on
+    integer numerator/denominator pairs: while n < a <= b < n + 1 with
+    n = floor(a), the answer is n + 1/t for the simplest t in
+    [1/(b - n), 1/(a - n)].  The convergent matrix ((p, q), (r, s)) holds
+    the composed maps t -> n + 1/t, and the answer is (p*t + q)/(r*t + s)
+    for the integer t that ends the expansion.
+    """
     if a > b:
         raise ValueError("empty interval")
     if a <= 0 <= b:
         return Fraction(0)
+    sign = 1
     if b < 0:
-        return -simplest_rational_between(-b, -a)
+        sign, a, b = -1, -b, -a
     # now 0 < a <= b
-    n, rem = divmod(a.numerator, a.denominator)
-    if rem == 0:
-        return Fraction(n)
-    if n + 1 <= b:
-        return Fraction(n + 1)
-    inner = simplest_rational_between(1 / (b - n), 1 / (a - n))
-    return n + 1 / inner
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        n, rem = divmod(an, ad)
+        if rem == 0:
+            t = n
+            break
+        if (n + 1) * bd <= bn:
+            t = n + 1
+            break
+        p, q, r, s = p * n + q, p, r * n + s, r
+        an, ad, bn, bd = bd, bn - n * bd, ad, rem
+    return Fraction(sign * (p * t + q), r * t + s)
 
 
 _PROBE_WIDTH = Fraction(1, 10**24)

@@ -212,15 +212,28 @@ class AssertionReport:
 
 
 def _specialize(poly: Poly2, var: str, value: Fraction) -> UniPoly:
-    """Fix one variable at an exact rational value; univariate result."""
-    rows = poly.coeffs_in(var)
+    """Fix one variable at an exact rational value; univariate result.
+
+    With value = p/q and rows r_k of the integer terms, each coefficient is
+    content * sum(r_k * p**k * q**(deg - k)) / q**deg: integer Horner in p
+    with powers of q, then one division.
+    """
+    rows = poly._int_rows(var)
     survivor = poly.varnames[1 - poly._axis(var)]
-    out = UniPoly.zero(survivor)
-    power = Fraction(1)
-    for row in rows:
-        out = out + row.scale(power)
-        power *= value
-    return out
+    if not rows:
+        return UniPoly.zero(survivor)
+    p, q = value.numerator, value.denominator
+    deg = len(rows) - 1
+    acc = [0] * (max(max(row, default=0) for row in rows) + 1)
+    q_power = 1
+    for row in reversed(rows):
+        acc = [a * p for a in acc]
+        for m, c in row.items():
+            acc[m] += c * q_power
+        q_power *= q
+    num = poly.content.numerator
+    den = poly.content.denominator * q ** deg
+    return UniPoly([Fraction(num * a, den) for a in acc], survivor)
 
 
 def _certify_exact(f: Poly2, g: Poly2, cx: Fraction, cy: Fraction) -> bool:

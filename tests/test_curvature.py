@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from _strategies import XY, points
 from cclab.curvature import (
@@ -21,6 +22,8 @@ from cclab.curvature import (
 from cclab.parsing import parse_expression, parse_system
 from cclab.polynomials import Poly2
 from cclab.systems import PlanarSystem
+from test_polynomials import (ref_add, ref_mul, ref_neg, ref_partial, ref_pow,
+                              ref_scale, ref_try_divide)
 
 ORIGIN_VALUES = {
     "s1": Fraction(-1),
@@ -174,3 +177,102 @@ def test_cross_multiplication_identity():
     one = Poly2.constant(1, XY)
     # x/(x^2) equals 1/x as rational functions without any reduction
     assert RationalFunction(x, x * x).same_function(RationalFunction(one, x))
+
+
+# --- golden: the integer-form curvature against a Fraction reference ----------
+
+# scalar_curvature built on the Fraction-coefficient Poly2 loops that the
+# integer form replaced (kept in test_polynomials.py), one step per line of
+# curvature.py.  Every output polynomial must have the same terms.
+
+
+def reference_curvature(system):
+    pa, qa = ref_partial(system.P.terms, 0), ref_partial(system.Q.terms, 0)
+    pb, qb = ref_partial(system.P.terms, 1), ref_partial(system.Q.terms, 1)
+    g11 = ref_scale(ref_add(ref_mul(pa, pa), ref_mul(qa, qa)), 2)
+    g22 = ref_scale(ref_add(ref_mul(pb, pb), ref_mul(qb, qb)), 2)
+    det = ref_mul(g11, g22)
+    g22_a = ref_partial(g22, 0)
+    g11_b = ref_partial(g11, 1)
+    laplace_like = ref_add(ref_partial(g22_a, 0), ref_partial(g11_b, 1))
+    det_a, det_b = ref_partial(det, 0), ref_partial(det, 1)
+    numerator = ref_add(
+        ref_scale(ref_mul(det, laplace_like), 2),
+        ref_neg(ref_add(ref_mul(det_a, g22_a), ref_mul(det_b, g11_b))))
+    exponents = [2, 2]
+    reduced = numerator
+    for idx, factor in ((0, g11), (1, g22)):
+        while exponents[idx] > 0:
+            quotient = ref_try_divide(reduced, factor)
+            if quotient is None:
+                break
+            reduced = quotient
+            exponents[idx] -= 1
+    reduced_den = ref_mul(ref_scale(ref_pow(g11, exponents[0]), 2),
+                          ref_pow(g22, exponents[1]))
+    denominator = reduced_den
+    for factor, exponent in zip((g11, g22), exponents):
+        denominator = ref_mul(denominator, ref_pow(factor, 2 - exponent))
+    return {
+        "numerator": numerator,
+        "denominator": denominator,
+        "reduced numerator": reduced,
+        "reduced denominator": reduced_den,
+        "den_exponents": tuple(exponents),
+        "branches": ((pa, qa), (pb, qb)),
+    }
+
+
+def curvature_outputs(data):
+    return {
+        "numerator": data.curvature.numerator.terms,
+        "denominator": data.curvature.denominator.terms,
+        "reduced numerator": data.reduced.function.numerator.terms,
+        "reduced denominator": data.reduced.function.denominator.terms,
+        "den_exponents": data.reduced.den_exponents,
+        "branches": tuple((pair.first.terms, pair.second.terms)
+                          for pair in data.branches),
+    }
+
+
+def radial_system(radii_sq):
+    f = "*".join("(x^2 + y^2 - %s)" % r for r in radii_sq)
+    return parse_system("vars: x y\ndx = -y + x*%s\ndy = x + y*%s\n" % (f, f))
+
+
+def test_catalogue_curvature_matches_fraction_reference(curvatures, catalogue):
+    for key in ("s1", "s1a", "s2", "center"):
+        expected = reference_curvature(catalogue[key].system)
+        assert curvature_outputs(curvatures[key]) == expected, key
+
+
+@pytest.mark.parametrize("radii_sq", [(2,), (1, 3), (1, 2, 3)])
+def test_radial_curvature_matches_fraction_reference(radii_sq):
+    system = radial_system(radii_sq)
+    assert (curvature_outputs(scalar_curvature(system))
+            == reference_curvature(system))
+
+
+_field_coefficients = st.fractions(min_value=Fraction(-3), max_value=Fraction(3),
+                                   max_denominator=16)
+
+
+@st.composite
+def _fields(draw):
+    """Fields of degree 2-4 with linear part (-y, x) and up to four higher
+    terms per component."""
+    degree = draw(st.integers(2, 4))
+    higher = st.tuples(st.integers(0, degree), st.integers(0, degree)).filter(
+        lambda ij: 2 <= ij[0] + ij[1] <= degree)
+    P = {(0, 1): Fraction(-1)}
+    Q = {(1, 0): Fraction(1)}
+    for component in (P, Q):
+        component.update(draw(st.dictionaries(higher, _field_coefficients,
+                                               min_size=1, max_size=4)))
+    return PlanarSystem(Poly2(P, XY), Poly2(Q, XY), XY)
+
+
+@given(_fields())
+def test_generated_curvature_matches_fraction_reference(system):
+    assert (curvature_outputs(scalar_curvature(system))
+            == reference_curvature(system))

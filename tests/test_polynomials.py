@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _strategies import XY, points, polys, nonzero_polys, rationals, unipolys
+from _strategies import (XY, exponent_pairs, nonzero_polys, points, polys,
+                         rationals, unipolys)
 from cclab.polynomials import Poly2, UniPoly, format_poly2, format_unipoly
 
 
@@ -342,3 +343,272 @@ def test_format_round_trips_through_parser():
 def test_format_zero():
     assert format_poly2(Poly2.zero(XY)) == "0"
     assert format_unipoly(UniPoly.zero()) == "0"
+
+
+# --- the integer form against the Fraction kernels it replaced -----------------
+
+# Today's Poly2 stores one rational content times a primitive integer
+# polynomial.  The Fraction-coefficient loops it replaced are kept here as
+# the reference, on plain {(i, j): Fraction} dicts; every operation must give
+# the same terms.  test_curvature.py builds its reference curvature on them.
+
+
+def ref_clean(terms):
+    return {key: Fraction(c) for key, c in terms.items() if c != 0}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_neg(p):
+    return {key: -c for key, c in p.items()}
+
+
+def ref_scale(p, factor):
+    return ref_clean({key: c * factor for key, c in p.items()})
+
+
+def ref_mul(p, q):
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(p, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_partial(p, idx):
+    out = {}
+    for (i, j), c in p.items():
+        e = (i, j)[idx]
+        if e == 0:
+            continue
+        key = (i - 1, j) if idx == 0 else (i, j - 1)
+        out[key] = out.get(key, Fraction(0)) + c * e
+    return ref_clean(out)
+
+
+def ref_try_divide(p, divisor):
+    if not p:
+        return {}
+    div_lead = max(divisor)
+    div_lc = divisor[div_lead]
+    rem = dict(p)
+    quot = {}
+    while rem:
+        lead = max(rem)
+        if lead[0] < div_lead[0] or lead[1] < div_lead[1]:
+            return None
+        qkey = (lead[0] - div_lead[0], lead[1] - div_lead[1])
+        qc = rem[lead] / div_lc
+        quot[qkey] = qc
+        for (i, j), c in divisor.items():
+            key = (qkey[0] + i, qkey[1] + j)
+            value = rem.get(key, Fraction(0)) - qc * c
+            if value == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = value
+    return ref_clean(quot)
+
+
+def ref_subs_linear(p, matrix, offset):
+    (a, b), (c, d) = matrix
+    e, f = offset
+    new_x = ref_clean({(1, 0): a, (0, 1): b, (0, 0): e})
+    new_y = ref_clean({(1, 0): c, (0, 1): d, (0, 0): f})
+    if not p:
+        return {}
+    xp = [ref_pow(new_x, n) for n in range(max(i for i, _ in p) + 1)]
+    yp = [ref_pow(new_y, n) for n in range(max(j for _, j in p) + 1)]
+    total = {}
+    for (i, j), coeff in p.items():
+        total = ref_add(total, ref_scale(ref_mul(xp[i], yp[j]), coeff))
+    return total
+
+
+def ref_coeffs_in(p, idx, survivor):
+    if not p:
+        return []
+    deg = max(key[idx] for key in p)
+    rows = [dict() for _ in range(deg + 1)]
+    for (i, j), c in p.items():
+        own, other = (i, j) if idx == 0 else (j, i)
+        rows[own][other] = c
+    out = []
+    for row in rows:
+        coeffs = ([row.get(k, Fraction(0)) for k in range(max(row) + 1)]
+                  if row else [])
+        out.append(UniPoly(coeffs, survivor))
+    return out
+
+
+def ref_format(p, varnames):
+    if not p:
+        return "0"
+    pieces = []
+    for key in sorted(p, key=lambda k: (-(k[0] + k[1]), -k[0])):
+        c = p[key]
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for e, name in zip(key, varnames) if e)
+        mag = abs(c)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+def assert_normal_form(p):
+    """content * ints with ints primitive, zero-free and lex-leading positive."""
+    if not p.ints:
+        assert p.content == 0
+        return
+    assert p.content != 0
+    assert all(isinstance(c, int) and c != 0 for c in p.ints.values())
+    assert math.gcd(*p.ints.values()) == 1
+    assert p.ints[max(p.ints)] > 0
+
+
+# Coefficients with numerators and denominators up to 1e15.
+big_rationals = st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15),
+                          st.integers(1, 10 ** 15))
+
+
+@st.composite
+def big_polys(draw, max_terms: int = 6):
+    terms = draw(st.dictionaries(exponent_pairs(), big_rationals,
+                                 max_size=max_terms))
+    return Poly2(terms, XY)
+
+
+# Small and huge coefficients, negated copies (negative content) and zero.
+any_polys = st.one_of(polys(), big_polys(), big_polys().map(lambda p: -p),
+                      st.just(Poly2.zero(XY)))
+
+
+@given(any_polys, any_polys)
+def test_sum_and_difference_match_reference(p, q):
+    assert_normal_form(p + q)
+    assert (p + q).terms == ref_add(p.terms, q.terms)
+    assert (p - q).terms == ref_add(p.terms, ref_neg(q.terms))
+    assert (-p).terms == ref_neg(p.terms)
+
+
+@given(any_polys, any_polys)
+def test_product_matches_reference(p, q):
+    product = p * q
+    assert_normal_form(product)
+    assert product.terms == ref_mul(p.terms, q.terms)
+
+
+@given(any_polys, st.one_of(big_rationals, rationals))
+def test_scale_matches_reference(p, factor):
+    assert_normal_form(p.scale(factor))
+    assert p.scale(factor).terms == ref_scale(p.terms, factor)
+
+
+@given(any_polys)
+def test_partial_matches_reference(p):
+    for idx, var in enumerate(XY):
+        derivative = p.partial(var)
+        assert_normal_form(derivative)
+        assert derivative.terms == ref_partial(p.terms, idx)
+
+
+@given(any_polys, nonzero_polys() | big_polys().filter(lambda p: not p.is_zero()))
+def test_exact_division_matches_reference(p, q):
+    product = p * q
+    quotient = product.try_divide(q)
+    assert quotient is not None
+    assert_normal_form(quotient)
+    assert quotient.terms == ref_try_divide(product.terms, q.terms) == p.terms
+
+
+@given(any_polys, any_polys, nonzero_polys() | big_polys().filter(lambda p: not p.is_zero()))
+def test_division_with_remainder_matches_reference(p, r, q):
+    candidate = p * q + r
+    quotient = candidate.try_divide(q)
+    expected = ref_try_divide(candidate.terms, q.terms)
+    if expected is None:
+        assert quotient is None
+    else:
+        assert quotient.terms == expected
+
+
+@given(nonzero_polys(max_terms=4) | big_polys(max_terms=4).filter(
+    lambda p: not p.is_zero()), st.integers(2, 9))
+def test_leading_coefficient_that_does_not_divide_is_inexact(q, k):
+    # the divisor's primitive lead is a multiple of k; the candidate's is
+    # one more than a multiple, so the first integer step has a remainder
+    divisor = q * P({(1, 0): k, (0, 0): 1})
+    lead = max(divisor.ints)
+    candidate = Poly2._make(divisor.content,
+                            {**divisor.ints, lead: divisor.ints[lead] + 1}, XY)
+    assert candidate.ints[max(candidate.ints)] % divisor.ints[lead] != 0
+    assert candidate.try_divide(divisor) is None
+    assert ref_try_divide(candidate.terms, divisor.terms) is None
+
+
+def test_division_goldens_with_non_monic_divisors():
+    x, y = Poly2.variable("x", XY), Poly2.variable("y", XY)
+    divisor = x * 2 + y * 3 + 1
+    assert (x * x * 2 + x * y * 3 + x).try_divide(divisor) == x
+    assert ((x + 1) * divisor).scale(Fraction(-5, 7)).try_divide(
+        divisor.scale(Fraction(1, 3))) == (x + 1).scale(Fraction(-15, 7))
+    assert (x + 1).try_divide(divisor) is None       # 1 is not a multiple of 2
+    assert (x * 4 + 1).try_divide(divisor) is None   # the quotient 2 leaves y
+
+
+_matrices = st.tuples(st.tuples(big_rationals, big_rationals),
+                      st.tuples(big_rationals, big_rationals))
+_offsets = st.tuples(big_rationals, big_rationals)
+
+
+@given(any_polys, st.one_of(_matrices, st.tuples(st.tuples(rationals, rationals),
+                                                 st.tuples(rationals, rationals))),
+       st.one_of(_offsets, st.tuples(rationals, rationals)))
+def test_subs_linear_matches_reference(p, matrix, offset):
+    image = p.subs_linear(matrix, offset, ("u", "v"))
+    assert_normal_form(image)
+    assert image.varnames == ("u", "v")
+    assert image.terms == ref_subs_linear(p.terms, matrix, offset)
+
+
+@given(any_polys)
+def test_coeffs_in_matches_reference(p):
+    for idx, var in enumerate(XY):
+        assert p.coeffs_in(var) == ref_coeffs_in(p.terms, idx, XY[1 - idx])
+
+
+@given(any_polys)
+def test_format_matches_reference(p):
+    assert format_poly2(p) == ref_format(p.terms, XY)
+
+
+@given(any_polys, any_polys, any_polys, st.one_of(big_rationals, rationals).filter(bool))
+def test_equal_polynomials_have_identical_forms(p, q, r, c):
+    def form(poly):
+        return (poly.content, poly.ints)
+    assert form((p + q) * r) == form(p * r + q * r)
+    assert form(p.scale(c).scale(1 / c)) == form(p)
+    assert form(Poly2(p.terms, XY)) == form(p)
+    assert form((p * q).partial("x")) == form(p.partial("x") * q + p * q.partial("x"))
+    assert form(p - p) == form(Poly2.zero(XY))

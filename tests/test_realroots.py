@@ -1,5 +1,6 @@
 """Sturm counting, isolation, and multiplicity against known factorizations."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,75 @@ def test_simplest_rational_is_inside_and_minimal(a, b):
         import math
         first = math.ceil(lo * den)
         assert Fraction(first, den) > hi or Fraction(first, den) < lo
+
+
+# The recursive Fraction version the convergent loop replaced, kept as the
+# reference.
+
+
+def _reference_simplest_rational_between(a, b):
+    if a > b:
+        raise ValueError("empty interval")
+    if a <= 0 <= b:
+        return Fraction(0)
+    if b < 0:
+        return -_reference_simplest_rational_between(-b, -a)
+    n, rem = divmod(a.numerator, a.denominator)
+    if rem == 0:
+        return Fraction(n)
+    if n + 1 <= b:
+        return Fraction(n + 1)
+    inner = _reference_simplest_rational_between(1 / (b - n), 1 / (a - n))
+    return n + 1 / inner
+
+
+@st.composite
+def _simplest_intervals(draw):
+    """Sorted endpoint pairs: small or 1,000-bit denominators, either sign,
+    integer ends, equal ends, and pairs that straddle zero."""
+    den = st.one_of(st.integers(1, 50), st.integers(2 ** 999, 2 ** 1000))
+    d1, d2 = draw(den), draw(den)
+    a = Fraction(draw(st.integers(-20 * d1, 20 * d1)), d1)
+    shape = draw(st.sampled_from(("free", "equal", "integer", "narrow")))
+    if shape == "equal":
+        b = a
+    elif shape == "integer":
+        a = Fraction(draw(st.integers(-20, 20)))
+        b = a + draw(st.integers(0, 3))
+    elif shape == "narrow":
+        # a sliver around a, wide enough to hold several convergents
+        b = a + Fraction(draw(st.integers(1, 5)), d2)
+    else:
+        b = Fraction(draw(st.integers(-20 * d2, 20 * d2)), d2)
+    return min(a, b), max(a, b)
+
+
+@given(_simplest_intervals())
+def test_simplest_rational_matches_recursive_reference(iv):
+    lo, hi = iv
+    best = simplest_rational_between(lo, hi)
+    # a 1,000-bit endpoint can take the reference several hundred levels deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        assert best == _reference_simplest_rational_between(lo, hi)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(best, Fraction)
+
+
+def test_simplest_rational_reference_cases():
+    cases = [(Fraction(-1, 3), Fraction(1, 7)),              # straddles 0
+             (Fraction(-22, 7), Fraction(-3)),                # negative
+             (Fraction(-355, 113), Fraction(-333, 106)),
+             (Fraction(5, 3), Fraction(5, 3)),                # a == b
+             (Fraction(4), Fraction(4)), (Fraction(2), Fraction(3)),
+             (Fraction(3 ** 630 + 1, 3 ** 630), Fraction(3 ** 630 + 2, 3 ** 630))]
+    for lo, hi in cases:
+        assert simplest_rational_between(lo, hi) == \
+            _reference_simplest_rational_between(lo, hi)
+    with pytest.raises(ValueError):
+        simplest_rational_between(Fraction(1), Fraction(0))
 
 
 # --- the integer kernel against the Fraction bisection it replaced -------------

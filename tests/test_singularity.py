@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cclab.curvature import INDETERMINATE, SINGULAR, scalar_curvature
 from cclab.parsing import parse_system
@@ -21,6 +23,7 @@ from cclab.singularity import (
     DivergencePoint,
     PointBox,
     _merge_across_branches,
+    _specialize,
     _symmetric_pair_count,
     assertion_report,
     find_equilibria,
@@ -30,6 +33,8 @@ from cclab.singularity import (
     verify_equilibrium,
 )
 from cclab.curvature import CurvatureData
+from cclab.polynomials import UniPoly
+from test_polynomials import any_polys, big_rationals
 
 XY = ("x", "y")
 
@@ -141,6 +146,25 @@ def test_tangential_rational_contact_is_pinned():
     assert len(result.points) == 1
     box = result.points[0]
     assert box.is_exact and box.x.exact == 0 and box.y.exact == 0
+
+
+# --- specialization against the UniPoly loop it replaced ----------------------
+
+
+def _reference_specialize(poly, var, value):
+    survivor = poly.varnames[1 - poly._axis(var)]
+    out = UniPoly.zero(survivor)
+    power = Fraction(1)
+    for row in poly.coeffs_in(var):
+        out = out + row.scale(power)
+        power *= value
+    return out
+
+
+@given(any_polys, st.one_of(big_rationals, st.fractions(max_denominator=12)))
+def test_specialize_matches_reference(poly, value):
+    for var in XY:
+        assert _specialize(poly, var, value) == _reference_specialize(poly, var, value)
 
 
 # --- sign-grid cross-check of certified emptiness ---------------------------------
