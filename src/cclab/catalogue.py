@@ -18,6 +18,10 @@ from .systems import PlanarSystem
 
 CATALOGUE_KEYS = ("s1", "s1a", "s2", "center")
 
+# An exact point (x, y), or an irrational one as ((xlo, xhi), (ylo, yhi)).
+RecordedPoint = tuple[Fraction, Fraction] | tuple[tuple[Fraction, Fraction],
+                                                  tuple[Fraction, Fraction]]
+
 
 @dataclass(frozen=True)
 class KnownFact:
@@ -41,7 +45,7 @@ class CatalogueEntry:
     curvature_at_origin: KnownFact
     cycle_radii_squared: KnownFact   # value: tuple[Fraction, ...]
     cycle_stabilities: KnownFact     # value: tuple[str, ...], parallel to radii
-    divergence_points: KnownFact     # value: tuple[(Fraction, Fraction), ...]
+    divergence_points: KnownFact     # value: tuple[RecordedPoint, ...]
     center: bool
 
 
@@ -73,7 +77,18 @@ def _read_ini(filename: str, path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _parse_points(text: str) -> tuple[tuple[Fraction, Fraction], ...]:
+def _parse_coordinate(token: str) -> Fraction | tuple[Fraction, Fraction]:
+    """A rational ``p/q``, or an enclosing interval ``lo..hi`` with lo < hi."""
+    if ".." not in token:
+        return Fraction(token)
+    lo, hi = (Fraction(end) for end in token.split(".."))
+    if not lo < hi:
+        raise ValueError(f"enclosure {token!r} is empty or a point")
+    return (lo, hi)
+
+
+def _parse_points(text: str) -> tuple[RecordedPoint, ...]:
+    """Semicolon-separated points: two rationals, or two enclosures."""
     points = []
     for chunk in text.split(";"):
         parts = chunk.split()
@@ -81,7 +96,11 @@ def _parse_points(text: str) -> tuple[tuple[Fraction, Fraction], ...]:
             continue
         if len(parts) != 2:
             raise ValueError(f"a point needs two coordinates, got {chunk!r}")
-        points.append((Fraction(parts[0]), Fraction(parts[1])))
+        x, y = (_parse_coordinate(part) for part in parts)
+        if isinstance(x, Fraction) != isinstance(y, Fraction):
+            raise ValueError(f"point {chunk!r} mixes an exact coordinate "
+                             "with an enclosure")
+        points.append((x, y))
     return tuple(points)
 
 

@@ -92,6 +92,11 @@ def _check_transcribed_quotient(harness: _Harness, key: str):
 
 
 def _check_divergence_points(harness: _Harness, key: str):
+    """Certified divergence points against the recorded ones, one to one.
+
+    An exact point matches a recorded exact point by equality; any other
+    certified box must lie inside exactly one recorded enclosure.
+    """
     def run():
         entry = harness.catalogue[key]
         expected = entry.divergence_points.value
@@ -102,20 +107,40 @@ def _check_divergence_points(harness: _Harness, key: str):
                            % (len(certified), len(expected)))
         remaining = list(expected)
         for point in certified:
-            if not point.box.is_exact:
-                return False, "a certified point has no exact coordinates"
-            coords = (point.box.x.exact, point.box.y.exact)
-            if coords in remaining:
+            if point.box.is_exact:
+                coords = (point.box.x.exact, point.box.y.exact)
+                if coords not in remaining:
+                    return False, ("unexpected divergence point (%s, %s)"
+                                   % (format_rational(coords[0]),
+                                      format_rational(coords[1])))
                 remaining.remove(coords)
-            else:
-                return False, ("unexpected divergence point (%s, %s)"
-                               % (format_rational(coords[0]),
-                                  format_rational(coords[1])))
-        pts = "; ".join("(%s, %s)" % (format_rational(px), format_rational(py))
-                        for px, py in expected) or "none"
+                continue
+            holders = [r for r in expected if _encloses(r, point.box)]
+            near = "(%.12g, %.12g)" % point.box.float_point()
+            if len(holders) != 1:
+                return False, ("divergence point near %s lies in %d recorded "
+                               "enclosure(s)" % (near, len(holders)))
+            if holders[0] not in remaining:
+                return False, ("a second divergence point lies in the recorded "
+                               "enclosure near %s" % near)
+            remaining.remove(holders[0])
+        exact = ["(%s, %s)" % (format_rational(p[0]), format_rational(p[1]))
+                 for p in expected if isinstance(p[0], Fraction)]
+        enclosed = len(expected) - len(exact)
+        pts = "; ".join(exact + (["%d in recorded enclosures" % enclosed]
+                                 if enclosed else [])) or "none"
         return True, "certified divergence points: %s (%s)" % (
             pts, entry.divergence_points.provenance)
     harness.add("divergence points of |R| (%s)" % key, run)
+
+
+def _encloses(recorded, box) -> bool:
+    """Whether a recorded enclosure ((xlo, xhi), (ylo, yhi)) contains a box."""
+    if isinstance(recorded[0], Fraction):
+        return False
+    (xlo, xhi), (ylo, yhi) = recorded
+    return (xlo <= box.x.lo and box.x.hi <= xhi
+            and ylo <= box.y.lo and box.y.hi <= yhi)
 
 
 def _check_s2_branches_empty(harness: _Harness):

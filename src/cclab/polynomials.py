@@ -474,21 +474,23 @@ class Poly2:
 _DYADIC_BITS = 128
 
 
-def _dyadic_outward(iv: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """Round an interval's endpoints outward to denominator 2**128.
+def _dyadic_outward(
+    iv: tuple[Fraction, Fraction], bits: int = _DYADIC_BITS
+) -> tuple[Fraction, Fraction]:
+    """Round an interval's endpoints outward to denominator 2**bits.
 
     Exact interval arithmetic grows endpoint fractions multiplicatively, so
     repeated Newton steps produce numbers with thousands of digits.  Rounding
-    outward after each step, and before each box evaluation, keeps the
-    arithmetic cheap while widening the enclosure by at most 2**-127, far
-    below the working widths here.  Endpoints with at most 128-bit
+    outward before each box evaluation keeps the arithmetic cheap while
+    widening the enclosure by at most 2**(1 - bits), far below the working
+    widths here at the default 128.  Endpoints with at most ``bits``-bit
     denominators are returned unchanged.
     """
-    scale = 1 << _DYADIC_BITS
+    scale = 1 << bits
     lo, hi = iv
-    if lo.denominator.bit_length() > _DYADIC_BITS:
+    if lo.denominator.bit_length() > bits:
         lo = Fraction(math.floor(lo * scale), scale)
-    if hi.denominator.bit_length() > _DYADIC_BITS:
+    if hi.denominator.bit_length() > bits:
         hi = Fraction(math.ceil(hi * scale), scale)
     return (lo, hi)
 

@@ -3,7 +3,7 @@
 This module answers three questions exactly:
 
 * where is the curvature denominator zero (the candidate divergence set),
-* which of those points are genuine divergences of |R| (numerator nonzero),
+* which of those points are genuine divergences of |R|,
 * what sign does R take at and therefore near each equilibrium.
 
 The real-solution engine works in two stages.  Elimination: the resultant in
@@ -15,6 +15,13 @@ settled by exact evaluation; cells with one rational coordinate reduce to a
 univariate gcd; fully irrational cells go through an exact interval Newton
 step (rational interval arithmetic, no floating point), whose strict
 containment conclusion proves existence and uniqueness inside the box.
+
+Divergence is judged by jet order.  The reduced denominator vanishes at a
+point of a branch to at least twice the branch's surviving metric-factor
+exponent, because each metric factor is a sum of squares; a partial
+derivative of the reduced numerator of lower order that is nonzero at the
+point (exactly at a rational point, by an enclosure excluding zero on a box
+around an irrational one) proves that |R| is unbounded near it.
 
 Nothing in this module is heuristic: every "empty" is a certificate, every
 point carries an enclosure, and anything the procedure cannot settle is
@@ -30,6 +37,7 @@ from .curvature import (
     CurvatureData,
     PointValue,
     RationalFunction,
+    ReducedForm,
     SINGULAR,
     VALUE,
 )
@@ -149,12 +157,24 @@ class BranchSolutions:
 
 @dataclass(frozen=True)
 class DivergencePoint:
-    """A certified zero of the denominator, with the numerator's verdict there."""
+    """A certified zero of the denominator, with the divergence verdict there.
+
+    ``numerator_nonzero`` means divergence certified: the reduced numerator
+    vanishes to a lower order at the point than the reduced denominator
+    (order 0 being the numerator itself), so |R| is unbounded near it.  When
+    it is false, ``note`` says why: either the point is removable (R is
+    finite there) or no tested order settled it.
+    """
 
     box: PointBox
     numerator_nonzero: bool
     branch_indices: tuple[int, ...]
     note: str = ""
+
+    @property
+    def uncertified(self) -> bool:
+        """Neither certified divergent nor certified removable."""
+        return not self.numerator_nonzero and not self.note.startswith("removable")
 
 
 @dataclass(frozen=True)
@@ -311,28 +331,6 @@ def _interval_newton_step(
     if _istrictly_inside(nx, ix) and _istrictly_inside(ny, iy):
         return ("certified", cut_x, cut_y)
     return ("unknown", cut_x, cut_y)
-
-
-_CONTRACT_STEPS = 60
-# _divergence_verdict contracts a straddling enclosure to this width
-_CONTRACT_WIDTH = Fraction(1, 10**30)
-
-
-def _newton_contract(
-    f: Poly2, g: Poly2, partials, ix: Interval, iy: Interval,
-) -> tuple[Interval, Interval]:
-    """Shrink a certified box by repeated Newton intersection."""
-    for _ in range(_CONTRACT_STEPS):
-        if ix[1] - ix[0] <= _CONTRACT_WIDTH and iy[1] - iy[0] <= _CONTRACT_WIDTH:
-            break
-        verdict, nx, ny = _interval_newton_step(f, g, partials, ix, iy)
-        if verdict == "rejected":  # cannot happen for a certified box
-            break
-        nx, ny = _dyadic_outward(nx), _dyadic_outward(ny)
-        if nx == ix and ny == iy:
-            break
-        ix, iy = nx, ny
-    return ix, iy
 
 
 def real_solutions_2x2(f: Poly2, g: Poly2) -> BranchSolutions:
@@ -493,9 +491,9 @@ def singular_locus(curv: CurvatureData) -> SingularLocusReport:
     The determinant is a product of two sums of squares, so its zeros are the
     union over the two Jacobian-column pairs of their common real zeros.
     Each certified point is then judged against the structurally reduced
-    curvature: |R| diverges there when the reduced denominator still vanishes
-    (the metric factor that is zero at the point survived cancellation) while
-    the reduced numerator does not.
+    curvature by the order of the reduced numerator there (see
+    ``_divergence_verdict``); the numerator's partials are built once, on
+    the first point that needs each order.
     """
     subsystems = tuple((br.first, br.second) for br in curv.branches)
     branch_results: list[BranchSolutions] = []
@@ -512,9 +510,10 @@ def singular_locus(curv: CurvatureData) -> SingularLocusReport:
             located.append((box, (idx,)))
         unresolved.extend(bs.unresolved)
 
-    merged_boxes = _merge_across_branches(located)
+    jets = _Jets(curv.reduced.function.numerator)
     divergence = [
-        _divergence_verdict(curv, box, indices) for box, indices in merged_boxes
+        _divergence_verdict(curv.reduced, jets, box, indices)
+        for box, indices in _merge_across_branches(located)
     ]
     return SingularLocusReport(
         subsystems=subsystems,
@@ -525,54 +524,96 @@ def singular_locus(curv: CurvatureData) -> SingularLocusReport:
     )
 
 
+class _Jets:
+    """The nonzero partial derivatives of one polynomial, by order.
+
+    Order k holds the nonzero d^k/(da^i db^(k-i)) for i = 0..k.  Each order
+    is built from the one below on its first request, so a locus whose
+    points are all settled by low orders never builds the high ones.
+    """
+
+    def __init__(self, poly: Poly2):
+        self._varnames = poly.varnames
+        self._orders: list[dict[int, Poly2]] = [{} if poly.is_zero() else {0: poly}]
+
+    def of_order(self, k: int) -> tuple[Poly2, ...]:
+        a, b = self._varnames
+        while len(self._orders) <= k:
+            below = self._orders[-1]
+            # key i counts the a-derivatives: each partial below gives the
+            # one with i + 1 of them, and the pure-b one also the next in b
+            order = {i + 1: p.partial(a) for i, p in below.items()}
+            if 0 in below:
+                order[0] = below[0].partial(b)
+            self._orders.append({i: p for i, p in order.items()
+                                 if not p.is_zero()})
+        return tuple(self._orders[k].values())
+
+
+# Dyadic widths, in bits, the point's box is rounded outward to before the
+# isolating box itself is tried: it still contains the point, and a partial
+# that is nonzero there mostly excludes zero on it already, at a fraction of
+# the cost of evaluating over the isolating box, whose endpoints carry
+# denominators of over 120 bits.
+_JET_BOX_BITS = (32, 64)
+
+
 def _divergence_verdict(
-    curv: CurvatureData,
+    reduced: ReducedForm,
+    jets: _Jets,
     box: PointBox,
     branch_indices: tuple[int, ...],
 ) -> DivergencePoint:
-    """Judge one certified denominator zero against the reduced curvature."""
-    reduced = curv.reduced
-    exponents = reduced.den_exponents
+    """Judge one certified denominator zero by the reduced numerator's order.
+
+    Each branch through the point keeps its metric factor, a sum of squares
+    that vanishes there, to the power den_exponents[i] in the reduced
+    denominator; so the denominator vanishes to order >= 2e at the point,
+    with e the sum of those exponents.  A partial of the reduced numerator
+    of order k < 2e that is nonzero at the point bounds the numerator's
+    order by k, and then |R| grows like dist**(k - 2e) along some direction:
+    |R| diverges.  At an exact point the partials are evaluated exactly;
+    otherwise a partial is nonzero when its enclosure over a box containing
+    the point excludes zero.
+    """
+    e = sum(reduced.den_exponents[i] for i in branch_indices)
     if box.is_exact:
-        outcome = reduced.function.evaluate(box.x.exact, box.y.exact)
+        px, py = box.x.exact, box.y.exact
+        outcome = reduced.function.evaluate(px, py)
         if outcome.kind == SINGULAR:
             return DivergencePoint(box, True, branch_indices)
         if outcome.kind == VALUE:
             return DivergencePoint(
                 box, False, branch_indices,
                 "removable: the reduced curvature is finite at this point")
+        for k in range(1, 2 * e):
+            if any(d.eval_at(px, py) != 0 for d in jets.of_order(k)):
+                return DivergencePoint(box, True, branch_indices)
         return DivergencePoint(
             box, False, branch_indices,
-            "reduced numerator and denominator both vanish: divergence "
-            "not certified")
+            "reduced numerator and denominator both vanish, and so does "
+            f"every partial of the numerator of order below {2 * e}: "
+            "divergence not certified")
 
-    den_still_zero = any(exponents[i] > 0 for i in branch_indices)
-    if not den_still_zero:
+    if e == 0:
         return DivergencePoint(
             box, False, branch_indices,
             "removable: every metric factor vanishing here cancelled out of "
             "the denominator")
-    numerator = reduced.function.numerator
     ix, iy = box.intervals()
-    lo, hi = numerator.eval_box(ix, iy)
-    if lo > 0 or hi < 0:
-        return DivergencePoint(box, True, branch_indices)
-    # contract the enclosure with the first certifying branch's pair and retry
-    first, second = curv.branches[branch_indices[0]].first, \
-        curv.branches[branch_indices[0]].second
-    a, b = first.varnames
-    partials = (first.partial(a), first.partial(b),
-                second.partial(a), second.partial(b))
-    if box.x.exact is None and box.y.exact is None:
-        nx, ny = _newton_contract(first, second, partials, ix, iy)
-        box = PointBox(RootInterval(nx[0], nx[1]), RootInterval(ny[0], ny[1]))
-        lo, hi = numerator.eval_box(nx, ny)
-        if lo > 0 or hi < 0:
-            return DivergencePoint(box, True, branch_indices)
+    for bits in _JET_BOX_BITS + (None,):
+        cell = (ix, iy) if bits is None else \
+            (_dyadic_outward(ix, bits), _dyadic_outward(iy, bits))
+        for k in range(2 * e):
+            for d in jets.of_order(k):
+                lo, hi = d.eval_box(*cell)
+                if lo > 0 or hi < 0:
+                    return DivergencePoint(box, True, branch_indices)
     return DivergencePoint(
         box, False, branch_indices,
-        "numerator enclosure straddles zero at the smallest width; "
-        "divergence not certified")
+        "no partial of the reduced numerator of order 0 to "
+        f"{2 * e - 1} excludes zero on the point's box: divergence not "
+        "certified")
 
 
 def _merge_across_branches(
@@ -722,6 +763,7 @@ def _criteria_report(
 
     b_count = locus.certified_divergence_count
     pair_count = _symmetric_pair_count(list(locus.divergence_points))
+    open_points = sum(1 for p in locus.divergence_points if p.uncertified)
     notes: list[str] = []
     if locus.unresolved:
         notes.append(
@@ -737,6 +779,10 @@ def _criteria_report(
                          "extends to a neighborhood")
         if not signs:
             notes.append("no equilibria supplied")
+    elif b_count == 0 and open_points:
+        verdict_a = A_FAILS_INDETERMINATE
+        notes.append(f"no divergence certified, but {open_points} located "
+                     "divergence point(s) are uncertified")
     elif b_count == 0:
         verdict_a = A_FAILS_NO_SINGULARITY
     else:

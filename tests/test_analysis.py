@@ -94,7 +94,7 @@ def test_analyze_unit_circle_system(analyses):
 def test_analyze_two_cycle_system(analyses):
     report = analyses["s1a"]
     assert report.cycles_exact.cycle_count == 2
-    assert report.assertions.assertion_B_count == 0
+    assert report.assertions.assertion_B_count == 16
     assert len(report.locus.divergence_points) == 16
     assert "differs" in report.verdict
 

@@ -6,6 +6,7 @@ import pytest
 
 from cclab.catalogue import (
     CATALOGUE_KEYS,
+    _parse_points,
     get_system,
     load_catalogue,
     load_references,
@@ -31,7 +32,11 @@ def test_entries_are_well_formed(catalogue):
         assert all(isinstance(r, Fraction) and r > 0 for r in radii)
         for point in entry.divergence_points.value:
             assert len(point) == 2
-            assert all(isinstance(c, Fraction) for c in point)
+            if not all(isinstance(c, Fraction) for c in point):
+                # an irrational point: two nonempty rational enclosures
+                for lo, hi in point:
+                    assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+                    assert lo < hi
 
 
 def test_center_flag_is_exclusive(catalogue):
@@ -49,6 +54,32 @@ def test_catalogue_agrees_with_sources(catalogue):
     assert catalogue["s2"].cycle_radii_squared.value == (Fraction(1, 2),)
     assert catalogue["s2"].system.varnames == ("u", "v")
     assert catalogue["center"].divergence_points.value == ((Fraction(0), Fraction(-1)),)
+
+
+def test_two_cycle_points_are_recorded_as_disjoint_enclosures(catalogue):
+    fact = catalogue["s1a"].divergence_points
+    assert fact.provenance == "derived"
+    assert len(fact.value) == 16
+    for i, (ax, ay) in enumerate(fact.value):
+        for bx, by in fact.value[i + 1:]:
+            assert ax[1] < bx[0] or bx[1] < ax[0] or ay[1] < by[0] or by[1] < ay[0]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1/2 -3", ((Fraction(1, 2), Fraction(-3)),)),
+    ("-1.5..-1.25 0..1/3; 2 0",
+     (((Fraction(-3, 2), Fraction(-5, 4)), (Fraction(0), Fraction(1, 3))),
+      (Fraction(2), Fraction(0)))),
+    ("", ()),
+])
+def test_parse_points(text, expected):
+    assert _parse_points(text) == expected
+
+
+@pytest.mark.parametrize("text", ["1 2 3", "0..1 2", "1..1 0..1", "1..0 0..1"])
+def test_parse_points_rejects_malformed_points(text):
+    with pytest.raises(ValueError):
+        _parse_points(text)
 
 
 def test_get_system(catalogue):

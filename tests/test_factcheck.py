@@ -87,3 +87,31 @@ def test_results_dict_round_trip(fresh_run):
     assert d["checks"][0]["name"] == results[0].name
     from cclab.jsonout import dumps
     assert dumps(d) == dumps(results_dict(results))
+
+
+def _with_s1a_points(points):
+    catalogue = load_catalogue()
+    entry = catalogue["s1a"]
+    wrong = dataclasses.replace(
+        entry,
+        divergence_points=dataclasses.replace(entry.divergence_points,
+                                              value=tuple(points)))
+    return {**catalogue, "s1a": wrong}
+
+
+@pytest.mark.parametrize("mutate", [
+    # the data as it stood before the divergence points were certified
+    lambda recorded: (),
+    # one enclosure moved off its point
+    lambda recorded: ((tuple((lo + 1, hi + 1) for lo, hi in recorded[0]),)
+                      + recorded[1:]),
+    # one enclosure widened over every point: each point lies in two
+    lambda recorded: (((Fraction(-3), Fraction(3)),) * 2,) + recorded[1:],
+    # an exact point where an enclosure belongs
+    lambda recorded: ((recorded[0][0][0], recorded[0][1][0]),) + recorded[1:],
+])
+def test_mutated_divergence_enclosure_fails_the_s1a_row(mutate):
+    recorded = load_catalogue()["s1a"].divergence_points.value
+    results = run_paper_check(catalogue=_with_s1a_points(mutate(recorded)))
+    failed = [r.name for r in results if not r.passed]
+    assert failed == ["divergence points of |R| (s1a)"]

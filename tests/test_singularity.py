@@ -4,14 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cclab.curvature import INDETERMINATE, SINGULAR, scalar_curvature
+from cclab.curvature import (
+    INDETERMINATE,
+    SINGULAR,
+    VALUE,
+    DegenerateMetricError,
+    PointValue,
+    scalar_curvature,
+)
 from cclab.parsing import parse_system
 from cclab.polynomials import Poly2
 from cclab.realroots import RootInterval
+from cclab.systems import PlanarSystem
 from cclab.singularity import (
+    A_FAILS_INDETERMINATE,
     A_FAILS_NO_SINGULARITY,
     A_FAILS_R_NEGATIVE,
     A_HOLDS,
@@ -21,7 +30,11 @@ from cclab.singularity import (
     POINTS,
     POSITIVE_NEIGHBORHOOD,
     DivergencePoint,
+    EquilibriumCertificate,
     PointBox,
+    SingularLocusReport,
+    _Jets,
+    _criteria_report,
     _merge_across_branches,
     _specialize,
     _symmetric_pair_count,
@@ -218,11 +231,12 @@ def test_center_locus_is_one_exact_point(loci):
     assert report.certified_divergence_count == 1
 
 
-def test_two_cycle_locus_has_sixteen_uncertified_points(loci):
+def test_two_cycle_locus_has_sixteen_certified_points(loci):
     report = loci["s1a"]
     assert len(report.divergence_points) == 16
-    assert report.certified_divergence_count == 0
-    assert not any(dp.numerator_nonzero for dp in report.divergence_points)
+    assert report.certified_divergence_count == 16
+    assert all(dp.numerator_nonzero and not dp.note
+               for dp in report.divergence_points)
     assert not report.unresolved
 
     expected = sorted(TWO_CYCLE_LOCUS_HALF
@@ -232,18 +246,149 @@ def test_two_cycle_locus_has_sixteen_uncertified_points(loci):
         assert abs(gx - ex) < 1e-9 and abs(gy - ey) < 1e-9
 
 
+def _partials_of_order(poly: Poly2, k: int) -> list[Poly2]:
+    """Every d^k/(dx^i dy^(k-i)) of poly, zeros included, built directly."""
+    out = []
+    for i in range(k + 1):
+        d = poly
+        for _ in range(i):
+            d = d.partial("x")
+        for _ in range(k - i):
+            d = d.partial("y")
+        out.append(d)
+    return out
+
+
+def _jet_exponent(curv, dp) -> int:
+    return sum(curv.reduced.den_exponents[i] for i in dp.branch_indices)
+
+
 def test_certified_divergence_points_satisfy_the_defining_signs(loci, curvatures):
-    """den = 0 and num != 0 on the reduced form, exactly, at certified points."""
+    """At an exact point: den = 0, and the point is certified iff num != 0
+    there or some partial of num of order below 2e is nonzero there, with e
+    the summed den exponents of its branches; all evaluated exactly."""
     for key, report in loci.items():
-        reduced = curvatures[key].reduced.function
+        curv = curvatures[key]
+        reduced = curv.reduced.function
         for dp in report.divergence_points:
             if not dp.box.is_exact:
                 continue
             px, py = dp.box.x.exact, dp.box.y.exact
-            den = reduced.denominator.eval_at(px, py)
-            num = reduced.numerator.eval_at(px, py)
-            assert den == 0, key
-            assert dp.numerator_nonzero == (num != 0), key
+            assert reduced.denominator.eval_at(px, py) == 0, key
+            nonzero_jet = any(
+                d.eval_at(px, py) != 0
+                for k in range(2 * _jet_exponent(curv, dp))
+                for d in _partials_of_order(reduced.numerator, k))
+            assert dp.numerator_nonzero == nonzero_jet, key
+
+
+def _assert_jet_certificates(curv, report):
+    """Each certified non-exact point has a partial of the reduced numerator
+    of order k < 2e whose enclosure over its box excludes zero."""
+    numerator = curv.reduced.function.numerator
+    for dp in report.divergence_points:
+        if not dp.numerator_nonzero or dp.box.is_exact:
+            continue
+        ix, iy = dp.box.intervals()
+        enclosures = (d.eval_box(ix, iy)
+                      for k in range(2 * _jet_exponent(curv, dp))
+                      for d in _partials_of_order(numerator, k))
+        assert any(lo > 0 or hi < 0 for lo, hi in enclosures), dp
+
+
+def test_catalogue_jet_certificates(loci, curvatures):
+    for key, report in loci.items():
+        _assert_jet_certificates(curvatures[key], report)
+
+
+# fields x' = -y + f, y' = x + g with f, g cubic: the metric factors vanish
+# at isolated real points for many of them
+_small_coeffs = st.fractions(min_value=Fraction(-2), max_value=Fraction(2),
+                             max_denominator=4)
+_nonlinear_terms = st.dictionaries(
+    st.sampled_from([(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]),
+    _small_coeffs, min_size=1, max_size=4)
+
+
+@settings(max_examples=25)
+@given(_nonlinear_terms, _nonlinear_terms)
+def test_certified_points_carry_a_jet_certificate(f_terms, g_terms):
+    P_ = P({(0, 1): -1, **f_terms})
+    Q_ = P({(1, 0): 1, **g_terms})
+    try:
+        curv = scalar_curvature(PlanarSystem(P_, Q_, XY))
+    except DegenerateMetricError:
+        return
+    _assert_jet_certificates(curv, singular_locus(curv))
+
+
+GENERIC_CUBIC = ("-y + x^3 - 2*x*y^2 + x^2/2", "x + 3*x^2*y - y^3/4 + x*y")
+
+
+def test_generic_cubic_certifies_all_four_points():
+    dx, dy = GENERIC_CUBIC
+    curv = scalar_curvature(parse_system(f"vars: x y\ndx = {dx}\ndy = {dy}\n"))
+    report = singular_locus(curv)
+    assert len(report.divergence_points) == 4
+    assert report.certified_divergence_count == 4
+    verdict = assertion_report(curv, [(Fraction(0), Fraction(0))], report)
+    assert verdict.assertion_A != A_FAILS_NO_SINGULARITY
+    assert verdict.assertion_B_count == 4
+
+
+def test_exact_point_with_vanishing_gradient_is_certified_at_order_two():
+    """At (+-1, 0) the reduced N and D and the gradient of N all vanish; a
+    nonzero Hessian entry gives order 2 < 2e = 4."""
+    curv = scalar_curvature(parse_system(
+        "vars: x y\ndx = -y + x^2*y - 2*y^2\ndy = x - y^3 - 2*x^3\n"))
+    report = singular_locus(curv)
+    numerator = curv.reduced.function.numerator
+    exact = [dp for dp in report.divergence_points if dp.box.is_exact]
+    assert sorted(dp.box.x.exact for dp in exact) == [-1, 1]
+    for dp in exact:
+        px, py = dp.box.x.exact, dp.box.y.exact
+        assert py == 0
+        assert curv.reduced.function.evaluate(px, py).kind == INDETERMINATE
+        assert _jet_exponent(curv, dp) == 2
+        for k in (0, 1):
+            assert all(d.eval_at(px, py) == 0
+                       for d in _partials_of_order(numerator, k))
+        assert any(d.eval_at(px, py) != 0
+                   for d in _partials_of_order(numerator, 2))
+        assert dp.numerator_nonzero and not dp.note
+    assert report.certified_divergence_count == len(report.divergence_points)
+
+
+def test_jets_skip_zero_partials_and_build_on_demand():
+    poly = P({(3, 0): 2, (1, 1): -1, (0, 2): Fraction(1, 3)})
+    jets = _Jets(poly)
+    assert jets.of_order(0) == (poly,)
+    assert len(jets._orders) == 1
+    for k in range(5):
+        direct = [d for d in _partials_of_order(poly, k) if not d.is_zero()]
+        assert sorted(map(str, jets.of_order(k))) == sorted(map(str, direct))
+    assert jets.of_order(4) == ()
+
+
+def test_open_divergence_point_makes_the_first_criterion_indeterminate():
+    """A positive equilibrium sign with 0 certified but 1 uncertified
+    divergence point is not "no singularity"."""
+    box = _box(0, Fraction(1, 10), 0, Fraction(1, 10))
+    open_point = DivergencePoint(box, False, (0,), "divergence not certified")
+    removable = DivergencePoint(box, False, (1,), "removable: finite here")
+    cert = EquilibriumCertificate((Fraction(0), Fraction(0)), Fraction(0),
+                                  Fraction(0), PointValue(VALUE, Fraction(1)))
+
+    def locus(points):
+        return SingularLocusReport((), (), tuple(points), (), ())
+
+    report = _criteria_report([cert], locus([open_point, removable]))
+    assert report.assertion_A == A_FAILS_INDETERMINATE
+    assert report.assertion_B_count == 0
+    assert any("1 located divergence point(s) are uncertified" in note
+               for note in report.notes)
+    assert (_criteria_report([cert], locus([removable])).assertion_A
+            == A_FAILS_NO_SINGULARITY)
 
 
 def test_branch_relabeling_does_not_change_the_count(curvatures):
@@ -363,7 +508,7 @@ def test_assertion_reports(curvatures, loci):
 
     r = assertion_report(curvatures["s1a"], origin, loci["s1a"])
     assert r.assertion_A == A_FAILS_R_NEGATIVE
-    assert r.assertion_B_count == 0
+    assert r.assertion_B_count == 16
 
     r = assertion_report(curvatures["s2"], origin, loci["s2"])
     assert r.assertion_A == A_FAILS_NO_SINGULARITY
@@ -386,7 +531,7 @@ def test_two_cycle_criteria_regression(curvatures, loci, analyses):
     report = assertion_report(curvatures["s1a"],
                               [(Fraction(0), Fraction(0))], loci["s1a"])
     assert report.assertion_A == A_FAILS_R_NEGATIVE
-    assert report.assertion_B_count == 0
+    assert report.assertion_B_count == 16
     assert analyses["s1a"].cycles_exact.cycle_count == 2
 
 
