@@ -11,7 +11,6 @@ from .analysis import AnalysisReport, analyze, render_report, report_dict
 from .catalogue import (
     CATALOGUE_KEYS,
     CatalogueEntry,
-    get_system,
     load_catalogue,
     load_references,
 )
@@ -27,11 +26,9 @@ from .curvature import (
 from .dynamics import (
     Cycle,
     LimitCycleReport,
-    Trajectory,
     detect_radial_form,
     exact_radial_cycles,
     find_cycles_numeric,
-    integrate,
     poincare_return,
 )
 from .factcheck import CheckResult, render_results, run_paper_check
@@ -52,7 +49,6 @@ from .singularity import (
     SingularLocusReport,
     assertion_report,
     find_equilibria,
-    sign_of_R_near_equilibrium,
     singular_locus,
     verify_equilibrium,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "Poly2",
     "RationalFunction",
     "SingularLocusReport",
-    "Trajectory",
     "UniPoly",
     "analyze",
     "assertion_report",
@@ -90,8 +85,6 @@ __all__ = [
     "find_equilibria",
     "format_poly2",
     "format_unipoly",
-    "get_system",
-    "integrate",
     "load_catalogue",
     "load_references",
     "log_bound_crossover",
@@ -107,7 +100,6 @@ __all__ = [
     "report_dict",
     "run_paper_check",
     "scalar_curvature",
-    "sign_of_R_near_equilibrium",
     "singular_locus",
     "transform_system",
     "verify_equilibrium",

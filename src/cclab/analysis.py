@@ -33,7 +33,7 @@ from .singularity import (
     AssertionReport,
     EquilibriumCertificate,
     SingularLocusReport,
-    _criteria_report,
+    assertion_report,
     find_equilibria,
     singular_locus,
     verify_equilibrium,
@@ -133,7 +133,7 @@ def analyze(
                      % len(eq_branch.unresolved))
 
     locus = singular_locus(curv)
-    assertions = _criteria_report(certificates, locus)
+    assertions = assertion_report(certificates, locus)
 
     radial = detect_radial_form(system)
     cycles_exact = exact_radial_cycles(radial) if radial.matched else None

@@ -184,12 +184,3 @@ def load_references(path: str | None = None) -> ReferenceData:
         eliminants.append(StatedEliminant(pair, eliminated, rows[0]
                                           if rows else UniPoly([], remaining)))
     return ReferenceData(curvature=curvature, eliminants=tuple(eliminants))
-
-
-def get_system(key: str, path: str | None = None) -> PlanarSystem:
-    """Convenience accessor for one catalogue system."""
-    entries = load_catalogue(path)
-    if key not in entries:
-        known = ", ".join(sorted(entries))
-        raise KeyError(f"unknown catalogue key {key!r}; known keys: {known}")
-    return entries[key].system

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple
 
 from .polynomials import Poly2, UniPoly
 from .realroots import (
@@ -299,6 +299,9 @@ _DP_BHH = (
     (11, 0.220588235294117647058823529412e-1),
 )
 
+# A step is at most _MAX_STEP time units long, and a coordinate beyond
+# _MAX_COORD in absolute value counts as finite-time blow-up.
+_MAX_STEP = 0.2
 _MAX_COORD = 1e12
 
 
@@ -333,14 +336,7 @@ _dop853_step = _define(_dop853_source(), "_dop853_step")
 
 
 def _adaptive_steps(
-    deriv,
-    start: tuple[float, float],
-    t_end: float,
-    rtol: float,
-    atol: float,
-    max_step: float | None = None,
-    max_trials: int | None = None,
-    stats: list | None = None,
+    deriv, start: tuple[float, float], t_end: float, rtol: float, atol: float,
 ) -> Iterator[tuple[float, float, float, float, float]]:
     """Yield (t, x, y, fx, fy) at the start and after every accepted step.
 
@@ -348,133 +344,51 @@ def _adaptive_steps(
     error of a trial step is Hairer's combination of the order-5 and order-3
     estimates e5 and e3, |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)), with each
     component divided by atol + rtol * |coordinate|; the step size follows
-    it with exponent 1/8.
+    it with exponent 1/8 and never exceeds _MAX_STEP.
 
     Raises DivergenceError when the controller underflows the step size or a
     coordinate leaves [-1e12, 1e12], both of which signal finite-time blow-up
-    for polynomial fields, and StepBudgetError once ``max_trials`` trial
+    for polynomial fields, and StepBudgetError once _RETURN_STEPS trial
     steps, accepted plus rejected, have been spent.
     """
     t = 0.0
     x, y = float(start[0]), float(start[1])
     kx, ky = deriv(x, y)
-    h = min(1e-3, t_end)
-    if max_step is not None:
-        h = min(h, max_step)
-    accepted = rejected = 0
-    try:
-        yield t, x, y, kx, ky
-        while t < t_end:
-            remaining = t_end - t
-            if remaining <= 4.0 * sys.float_info.epsilon * max(abs(t), abs(t_end)):
-                # the span is complete up to rounding: t + h can land a few
-                # ulps short of t_end, and that residue is not a blow-up
-                break
-            if max_trials is not None and accepted + rejected >= max_trials:
-                raise StepBudgetError(max_trials, t)
-            h = min(h, remaining)
-            if h < 1e-14 * max(1.0, abs(t)):
+    h = min(1e-3, t_end, _MAX_STEP)
+    trials = 0
+    yield t, x, y, kx, ky
+    while t < t_end:
+        remaining = t_end - t
+        if remaining <= 4.0 * sys.float_info.epsilon * max(abs(t), abs(t_end)):
+            # the span is complete up to rounding: t + h can land a few
+            # ulps short of t_end, and that residue is not a blow-up
+            break
+        if trials >= _RETURN_STEPS:
+            raise StepBudgetError(_RETURN_STEPS, t)
+        trials += 1
+        h = min(h, remaining)
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise DivergenceError(t, (x, y))
+        nx, ny, e5x, e5y, e3x, e3y = _dop853_step(deriv, x, y, kx, ky, h)
+        if not (math.isfinite(nx) and math.isfinite(ny)):
+            h *= 0.25
+            continue
+        sx = atol + rtol * max(abs(x), abs(nx))
+        sy = atol + rtol * max(abs(y), abs(ny))
+        e5x, e5y, e3x, e3y = e5x / sx, e5y / sy, e3x / sx, e3y / sy
+        err5 = e5x * e5x + e5y * e5y
+        err3 = e3x * e3x + e3y * e3y
+        ratio = err5 / math.sqrt(2.0 * (err5 + 0.01 * err3)) if err5 else 0.0
+        if ratio <= 1.0:
+            t, x, y = t + h, nx, ny
+            if abs(x) > _MAX_COORD or abs(y) > _MAX_COORD:
                 raise DivergenceError(t, (x, y))
-            nx, ny, e5x, e5y, e3x, e3y = _dop853_step(deriv, x, y, kx, ky, h)
-            if not (math.isfinite(nx) and math.isfinite(ny)):
-                h *= 0.25
-                rejected += 1
-                continue
-            sx = atol + rtol * max(abs(x), abs(nx))
-            sy = atol + rtol * max(abs(y), abs(ny))
-            e5x, e5y, e3x, e3y = e5x / sx, e5y / sy, e3x / sx, e3y / sy
-            err5 = e5x * e5x + e5y * e5y
-            err3 = e3x * e3x + e3y * e3y
-            ratio = err5 / math.sqrt(2.0 * (err5 + 0.01 * err3)) if err5 else 0.0
-            if ratio <= 1.0:
-                t, x, y = t + h, nx, ny
-                accepted += 1
-                if abs(x) > _MAX_COORD or abs(y) > _MAX_COORD:
-                    raise DivergenceError(t, (x, y))
-                kx, ky = deriv(x, y)
-                grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.125)
-                h *= max(0.2, grow)
-                if max_step is not None:
-                    h = min(h, max_step)
-                yield t, x, y, kx, ky
-            else:
-                rejected += 1
-                h *= max(0.2, 0.9 * ratio ** -0.125)
-    finally:
-        if stats is not None:
-            stats[:] = [accepted, rejected]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A computed orbit segment with the settings that produced it."""
-
-    samples: tuple[tuple[float, float, float], ...]
-    rtol: float
-    atol: float
-    steps_accepted: int
-    steps_rejected: int
-    fixed_step: float | None = None
-
-    def dump_csv(self, target: str | TextIO) -> None:
-        """Write t,x,y rows; run metadata goes first as '#' comment lines."""
-        own = isinstance(target, str)
-        fh = open(target, "w", encoding="utf-8") if own else target
-        try:
-            if self.fixed_step is None:
-                fh.write(f"# adaptive dop853, rtol={self.rtol:g}, "
-                         f"atol={self.atol:g}\n")
-            else:
-                fh.write(f"# fixed-step dop853, h={self.fixed_step:g}\n")
-            fh.write(f"# steps accepted={self.steps_accepted}, "
-                     f"rejected={self.steps_rejected}\n")
-            fh.write("t,x,y\n")
-            for t, x, y in self.samples:
-                fh.write(f"{t!r},{x!r},{y!r}\n")
-        finally:
-            if own:
-                fh.close()
-
-
-def integrate(
-    system: PlanarSystem,
-    start: tuple[float, float],
-    t_end: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    *,
-    fixed_step: float | None = None,
-) -> Trajectory:
-    """Integrate the field from ``start`` for ``t_end`` time units.
-
-    Adaptive by default; pass ``fixed_step`` to disable error control and
-    march at a constant step (used by the order-verification tests).
-    """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
-    deriv = _compile_field(system).deriv
-    if fixed_step is not None:
-        if fixed_step <= 0:
-            raise ValueError("fixed_step must be positive")
-        t, x, y = 0.0, float(start[0]), float(start[1])
-        samples = [(t, x, y)]
-        while t < t_end - 1e-12 * max(1.0, t_end):
-            h = min(fixed_step, t_end - t)
             kx, ky = deriv(x, y)
-            x, y = _dop853_step(deriv, x, y, kx, ky, h)[:2]
-            if abs(x) > _MAX_COORD or abs(y) > _MAX_COORD \
-                    or not (math.isfinite(x) and math.isfinite(y)):
-                raise DivergenceError(t + h, (x, y))
-            t += h
-            samples.append((t, x, y))
-        return Trajectory(tuple(samples), rtol, atol, len(samples) - 1, 0,
-                          fixed_step)
-    stats: list = []
-    samples = [(t, x, y) for t, x, y, _, _ in _adaptive_steps(
-        deriv, start, t_end, rtol, atol, stats=stats)]
-    return Trajectory(tuple(samples), rtol, atol, stats[0], stats[1])
+            grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio ** -0.125)
+            h = min(h * max(0.2, grow), _MAX_STEP)
+            yield t, x, y, kx, ky
+        else:
+            h *= max(0.2, 0.9 * ratio ** -0.125)
 
 
 # --- rigid radial structure -----------------------------------------------------
@@ -729,8 +643,7 @@ def _return_event(field: _Field, r0: float, rtol: float,
     deriv, jacobian = field
     r_min_sq = _R_MIN * _R_MIN
     still_sq = _SCAN_ATOL * _SCAN_ATOL
-    states = _adaptive_steps(deriv, (r0, 0.0), _T_MAX, rtol, atol,
-                             max_step=0.2, max_trials=_RETURN_STEPS)
+    states = _adaptive_steps(deriv, (r0, 0.0), _T_MAX, rtol, atol)
     for (t0, x0, y0, k0x, k0y), (t1, x1, y1, k1x, k1y) in pairwise(states):
         if x1 * x1 + y1 * y1 < r_min_sq:
             raise EquilibriumCaptureError(t1, _R_MIN)
@@ -748,8 +661,8 @@ def _return_event(field: _Field, r0: float, rtol: float,
 def poincare_return(system: PlanarSystem, r0: float) -> float:
     """Abscissa of the first oriented return to the positive x-axis.
 
-    The tolerances, rtol 1e-14 and atol 1e-16, are tighter than the plain
-    integrator's: a repelling cycle amplifies per-step error by the
+    The tolerances, rtol 1e-14 and atol 1e-16, are tighter than the scan's
+    1e-10 and 1e-12: a repelling cycle amplifies per-step error by the
     exponential of its positive multiplier over one period, so returning to
     a known invariant circle within 1e-8 requires local error near the
     rounding floor.  The integrator is DOP853 with steps of at most 0.2.
@@ -767,8 +680,8 @@ def poincare_return(system: PlanarSystem, r0: float) -> float:
 
 # --- displacement scan ----------------------------------------------------------
 
-# The scan integrates at the plain integrator's tolerances, and refines a
-# bracket until its displacement is below _D_TOL.
+# The scan integrates at these tolerances, and refines a bracket until its
+# displacement is below _D_TOL.
 _SCAN_RTOL = 1e-10
 _SCAN_ATOL = 1e-12
 _D_TOL = 1e-9

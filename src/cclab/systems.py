@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polynomials import Poly2, Rat, _to_fraction
 
@@ -29,14 +28,6 @@ class PlanarSystem:
 
     def is_equilibrium(self, px: Rat, py: Rat) -> bool:
         return self.P.eval_at(px, py) == 0 and self.Q.eval_at(px, py) == 0
-
-    def translated(self, px: Rat, py: Rat) -> PlanarSystem:
-        """The same field in coordinates centered at (px, py), exactly."""
-        e, f = _to_fraction(px), _to_fraction(py)
-        identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        P = self.P.subs_linear(identity, (e, f), self.varnames)
-        Q = self.Q.subs_linear(identity, (e, f), self.varnames)
-        return PlanarSystem(P, Q, self.varnames, self.label)
 
 
 def transform_system(

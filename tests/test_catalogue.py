@@ -7,7 +7,6 @@ import pytest
 from cclab.catalogue import (
     CATALOGUE_KEYS,
     _parse_points,
-    get_system,
     load_catalogue,
     load_references,
 )
@@ -80,13 +79,6 @@ def test_parse_points(text, expected):
 def test_parse_points_rejects_malformed_points(text):
     with pytest.raises(ValueError):
         _parse_points(text)
-
-
-def test_get_system(catalogue):
-    system = get_system("s1a")
-    assert system.P == catalogue["s1a"].system.P
-    with pytest.raises(KeyError):
-        get_system("nonexistent")
 
 
 def test_load_catalogue_from_explicit_path(tmp_path):

@@ -1,6 +1,5 @@
 """Integration, radial structure detection, and both cycle locators."""
 
-import io
 import math
 import time
 from fractions import Fraction
@@ -21,7 +20,6 @@ from cclab.dynamics import (
     detect_radial_form,
     exact_radial_cycles,
     find_cycles_numeric,
-    integrate,
     poincare_return,
 )
 from cclab.parsing import parse_system
@@ -134,13 +132,14 @@ def exact_cubic_state(t: float) -> tuple[float, float]:
     return (r * math.cos(t), r * math.sin(t))
 
 
-def test_fixed_step_converges_at_eighth_order(catalogue):
-    system = catalogue["s1"].system
+def test_dop853_step_converges_at_eighth_order(catalogue):
+    deriv = dynamics._compile_field(catalogue["s1"].system).deriv
     ex, ey = exact_cubic_state(5.0)
 
     def error(h):
-        t, x, y = integrate(system, (0.5, 0.0), 5.0, fixed_step=h).samples[-1]
-        assert abs(t - 5.0) < 1e-9
+        x, y = 0.5, 0.0
+        for _ in range(round(5.0 / h)):
+            x, y = dynamics._dop853_step(deriv, x, y, *deriv(x, y), h)[:2]
         return math.hypot(x - ex, y - ey)
 
     errors = [error(h) for h in (1.0, 0.5, 0.25)]
@@ -164,46 +163,26 @@ def test_dop853_tableau_is_consistent():
 
 
 def test_adaptive_integration_tracks_the_closed_form(catalogue):
-    system = catalogue["s1"].system
-    traj = integrate(system, (0.5, 0.0), 5.0, rtol=1e-12, atol=1e-14)
-    t, x, y = traj.samples[-1]
+    deriv = dynamics._compile_field(catalogue["s1"].system).deriv
+    states = list(dynamics._adaptive_steps(deriv, (0.5, 0.0), 5.0,
+                                           1e-12, 1e-14))
+    t, x, y, fx, fy = states[-1]
     ex, ey = exact_cubic_state(5.0)
     assert abs(t - 5.0) < 1e-9
     assert math.hypot(x - ex, y - ey) < 1e-9
-    assert traj.steps_accepted > 0
-
-
-def test_integrate_argument_validation(catalogue):
-    system = catalogue["s1"].system
-    with pytest.raises(ValueError):
-        integrate(system, (0.5, 0.0), -1.0)
-    with pytest.raises(ValueError):
-        integrate(system, (0.5, 0.0), 1.0, rtol=0.0)
-    with pytest.raises(ValueError):
-        integrate(system, (0.5, 0.0), 1.0, fixed_step=-0.1)
+    assert (fx, fy) == deriv(x, y)
+    # no step is longer than the 0.2 cap
+    assert all(b[0] - a[0] <= dynamics._MAX_STEP
+               for a, b in zip(states, states[1:]))
 
 
 def test_divergence_detected(catalogue):
+    deriv = dynamics._compile_field(catalogue["s1"].system).deriv
     with pytest.raises(DivergenceError) as exc:
-        integrate(catalogue["s1"].system, (3.0, 0.0), 10.0)
+        for _ in dynamics._adaptive_steps(deriv, (3.0, 0.0), 10.0,
+                                          1e-10, 1e-12):
+            pass
     assert exc.value.t < 10.0
-
-
-def test_csv_dump(catalogue):
-    traj = integrate(catalogue["s1"].system, (0.5, 0.0), 1.0)
-    buffer = io.StringIO()
-    traj.dump_csv(buffer)
-    lines = buffer.getvalue().splitlines()
-    meta = [line for line in lines if line.startswith("#")]
-    assert meta and "rtol" in meta[0] and "dop853" in meta[0]
-    header_at = len(meta)
-    assert lines[header_at] == "t,x,y"
-    first = lines[header_at + 1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == 0.5
-    # every row reparses to floats
-    for row in lines[header_at + 1:]:
-        t, x, y = map(float, row.split(","))
 
 
 # --- Poincare return map -------------------------------------------------------

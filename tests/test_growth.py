@@ -14,6 +14,7 @@ from cclab.growth import (
     log_bound_crossover,
     render_comparison,
 )
+from cclab.parsing import parse_expression
 
 
 # --- the claimed quadratic bound ---------------------------------------------------
@@ -81,12 +82,38 @@ def test_constructed_count_rejects_bad_input():
 # --- the contradiction ---------------------------------------------------------------
 
 
+def closed_form_excess(k: int) -> Fraction:
+    """constructed(k) - claimed(2^k - 1) by the identity growth.py states."""
+    t = 2 ** k
+    return Fraction(t * t * (6 * k - 205), 24) + 37 * t - Fraction(121, 3)
+
+
 def test_threshold_is_35_both_methods():
+    """The exact walk stops at 35, and the closed-form excess changes sign
+    there."""
     assert contradiction_threshold() == 35
-    assert contradiction_threshold(method="scan") == 35
-    assert contradiction_threshold(method="bisect") == 35
-    with pytest.raises(ValueError):
-        contradiction_threshold(method="newton")
+    assert closed_form_excess(34) < 0 < closed_form_excess(35)
+
+
+def test_closed_form_excess_is_an_exact_identity():
+    """constructed - claimed = t^2 (k - 205/6)/4 + 37t - 121/3 as polynomials
+    in k and t = 2^k, with each side tied to the functions at k = 2..80."""
+    kt = ("k", "t")
+    constructed = parse_expression("t^2*(k - 13/6)/4 + t - 1/3", kt)
+    claimed = parse_expression("2*(t - 2)*(4*(t - 2) - 2)", kt)
+    excess = parse_expression("t^2*(k - 205/6)/4 + 37*t - 121/3", kt)
+    assert constructed - claimed == excess
+    for k in range(2, 81):
+        assert constructed.eval_at(k, 2 ** k) == constructed_cycle_count(k)
+        assert claimed.eval_at(k, 2 ** k) == claimed_quadratic_bound(2 ** k - 1)
+        assert excess.eval_at(k, 2 ** k) == closed_form_excess(k)
+
+
+def test_threshold_below_the_certificate_raises(monkeypatch):
+    """A first excess below 205/6 is not covered by the closed form."""
+    monkeypatch.setattr(growth, "claimed_quadratic_bound", lambda n: 0)
+    with pytest.raises(ArithmeticError):
+        contradiction_threshold()
 
 
 def test_threshold_boundary_exactly():

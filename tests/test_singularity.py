@@ -34,14 +34,13 @@ from cclab.singularity import (
     PointBox,
     SingularLocusReport,
     _Jets,
-    _criteria_report,
+    _certify_half_exact,
     _merge_across_branches,
     _specialize,
     _symmetric_pair_count,
     assertion_report,
     find_equilibria,
     real_solutions_2x2,
-    sign_of_R_near_equilibrium,
     singular_locus,
     verify_equilibrium,
 )
@@ -54,6 +53,11 @@ XY = ("x", "y")
 
 def P(terms):
     return Poly2(terms, XY)
+
+
+def origin_certificate(curv):
+    """The exact equilibrium certificate at the origin, as a one-item list."""
+    return [verify_equilibrium(curv.system, (0, 0), curv.reduced.function)]
 
 
 # Locus of the two-cycle system, frozen from an independent high-precision
@@ -331,7 +335,7 @@ def test_generic_cubic_certifies_all_four_points():
     report = singular_locus(curv)
     assert len(report.divergence_points) == 4
     assert report.certified_divergence_count == 4
-    verdict = assertion_report(curv, [(Fraction(0), Fraction(0))], report)
+    verdict = assertion_report(origin_certificate(curv), report)
     assert verdict.assertion_A != A_FAILS_NO_SINGULARITY
     assert verdict.assertion_B_count == 4
 
@@ -359,6 +363,36 @@ def test_exact_point_with_vanishing_gradient_is_certified_at_order_two():
     assert report.certified_divergence_count == len(report.divergence_points)
 
 
+def test_half_exact_cell_pins_a_rational_root():
+    """On the line x = 1 the gcd's root is pinned exactly when it is
+    rational, and refined to a 1e-30 box when it is not."""
+    line = P({(1, 0): 1, (0, 0): -1})                    # x - 1
+    pinned = _certify_half_exact(line, P({(0, 1): 1, (0, 0): 4}), "x",
+                                 Fraction(1), RootInterval(Fraction(-5),
+                                                           Fraction(-3)))
+    assert pinned == RootInterval(Fraction(-4), Fraction(-4), Fraction(-4))
+    boxed = _certify_half_exact(line, P({(0, 2): 1, (0, 0): -2}), "x",
+                                Fraction(1), RootInterval(Fraction(1),
+                                                          Fraction(2)))
+    assert boxed.exact is None
+    assert boxed.lo ** 2 < 2 < boxed.hi ** 2
+    assert boxed.width <= Fraction(1, 10**30)
+
+
+def test_bendixson_divergence_point_is_exact():
+    """The field's one denominator zero, (1, -4), has x exact from isolation
+    and y from the half-exact gcd; both are pinned, so the point takes the
+    exact jet path."""
+    curv = scalar_curvature(parse_system(
+        "vars: x y\ndx = -y + x + x^3 + x*y\ndy = x + y + y^3 - x^2/2\n"))
+    report = singular_locus(curv)
+    assert len(report.divergence_points) == 1
+    point = report.divergence_points[0]
+    assert point.box.is_exact
+    assert (point.box.x.exact, point.box.y.exact) == (1, -4)
+    assert point.numerator_nonzero and not point.note
+
+
 def test_jets_skip_zero_partials_and_build_on_demand():
     poly = P({(3, 0): 2, (1, 1): -1, (0, 2): Fraction(1, 3)})
     jets = _Jets(poly)
@@ -382,12 +416,12 @@ def test_open_divergence_point_makes_the_first_criterion_indeterminate():
     def locus(points):
         return SingularLocusReport((), (), tuple(points), (), ())
 
-    report = _criteria_report([cert], locus([open_point, removable]))
+    report = assertion_report([cert], locus([open_point, removable]))
     assert report.assertion_A == A_FAILS_INDETERMINATE
     assert report.assertion_B_count == 0
     assert any("1 located divergence point(s) are uncertified" in note
                for note in report.notes)
-    assert (_criteria_report([cert], locus([removable])).assertion_A
+    assert (assertion_report([cert], locus([removable])).assertion_A
             == A_FAILS_NO_SINGULARITY)
 
 
@@ -477,59 +511,51 @@ def test_verify_equilibrium_certificate(curvatures):
     assert not off.valid
 
 
-# --- sign of R near equilibria ------------------------------------------------------
+# --- sign of R near equilibria and the two criteria ------------------------------
 
 
-def test_sign_verdicts(curvatures):
-    assert (sign_of_R_near_equilibrium(curvatures["s1"], (0, 0))
-            == NEGATIVE_NEIGHBORHOOD)
-    assert (sign_of_R_near_equilibrium(curvatures["s1a"], (0, 0))
-            == NEGATIVE_NEIGHBORHOOD)
-    assert (sign_of_R_near_equilibrium(curvatures["s2"], (0, 0))
-            == POSITIVE_NEIGHBORHOOD)
-    assert (sign_of_R_near_equilibrium(curvatures["center"], (0, 0))
-            == POSITIVE_NEIGHBORHOOD)
-
-
-def test_sign_requires_an_equilibrium(curvatures):
-    with pytest.raises(ValueError):
-        sign_of_R_near_equilibrium(curvatures["s1"], (1, 0))
-
-
-# --- the two criteria ----------------------------------------------------------------
+def test_sign_verdicts(curvatures, loci):
+    expected = {"s1": NEGATIVE_NEIGHBORHOOD, "s1a": NEGATIVE_NEIGHBORHOOD,
+                "s2": POSITIVE_NEIGHBORHOOD, "center": POSITIVE_NEIGHBORHOOD}
+    for key, sign in expected.items():
+        report = assertion_report(origin_certificate(curvatures[key]),
+                                  loci[key])
+        assert report.equilibrium_signs == (((0, 0), sign),)
 
 
 def test_assertion_reports(curvatures, loci):
-    origin = [(Fraction(0), Fraction(0))]
+    def report(key):
+        return assertion_report(origin_certificate(curvatures[key]), loci[key])
 
-    r = assertion_report(curvatures["s1"], origin, loci["s1"])
+    r = report("s1")
     assert r.assertion_A == A_FAILS_R_NEGATIVE
     assert r.assertion_B_count == 0
 
-    r = assertion_report(curvatures["s1a"], origin, loci["s1a"])
+    r = report("s1a")
     assert r.assertion_A == A_FAILS_R_NEGATIVE
     assert r.assertion_B_count == 16
 
-    r = assertion_report(curvatures["s2"], origin, loci["s2"])
+    r = report("s2")
     assert r.assertion_A == A_FAILS_NO_SINGULARITY
     assert r.assertion_B_count == 0
 
-    r = assertion_report(curvatures["center"], origin, loci["center"])
+    r = report("center")
     assert r.assertion_A == A_HOLDS
     assert r.assertion_B_count == 1
     assert r.symmetric_pairs == 0
 
 
 def test_assertion_report_rejects_non_equilibria(curvatures, loci):
+    data = curvatures["s1"]
+    off = verify_equilibrium(data.system, (1, 0), data.reduced.function)
     with pytest.raises(ValueError):
-        assertion_report(curvatures["s1"], [(Fraction(1), Fraction(0))],
-                         loci["s1"])
+        assertion_report([off], loci["s1"])
 
 
 def test_two_cycle_criteria_regression(curvatures, loci, analyses):
     """R < 0 near the origin and two genuine cycles: both criteria wrong."""
-    report = assertion_report(curvatures["s1a"],
-                              [(Fraction(0), Fraction(0))], loci["s1a"])
+    report = assertion_report(origin_certificate(curvatures["s1a"]),
+                              loci["s1a"])
     assert report.assertion_A == A_FAILS_R_NEGATIVE
     assert report.assertion_B_count == 16
     assert analyses["s1a"].cycles_exact.cycle_count == 2
