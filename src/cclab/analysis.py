@@ -118,22 +118,14 @@ def analyze(
     notes: list[str] = []
 
     eq_branch = find_equilibria(system)
-    certificates: list[EquilibriumCertificate] = []
-    for box in eq_branch.points:
-        if box.is_exact:
-            certificates.append(verify_equilibrium(
-                system, (box.x.exact, box.y.exact), curv.reduced.function))
-        else:
-            fx, fy = box.float_point()
-            notes.append(
-                "equilibrium near (%.6g, %.6g) has an irrational enclosure; "
-                "the sign test needs an exact point and skipped it" % (fx, fy))
+    certificates = [verify_equilibrium(curv, box) for box in eq_branch.points]
     if eq_branch.unresolved:
         notes.append("%d unresolved equilibrium enclosure(s)"
                      % len(eq_branch.unresolved))
 
     locus = singular_locus(curv)
-    assertions = assertion_report(certificates, locus)
+    assertions = assertion_report(certificates, locus,
+                                  len(eq_branch.unresolved))
 
     radial = detect_radial_form(system)
     cycles_exact = exact_radial_cycles(radial) if radial.matched else None
@@ -198,6 +190,13 @@ def _box_dict(box) -> dict:
     }
 
 
+def _point_text(box) -> str:
+    if box.is_exact:
+        return "(%s, %s)" % (format_rational(box.x.exact),
+                             format_rational(box.y.exact))
+    return "(%.9g, %.9g)" % box.float_point()
+
+
 def _poly_dict(poly: Poly2) -> dict:
     return {"text": str(poly), "total_degree": poly.total_degree}
 
@@ -258,8 +257,11 @@ def assertions_dict(report: AssertionReport) -> dict:
         "assertion_B_count": report.assertion_B_count,
         "symmetric_pairs": report.symmetric_pairs,
         "equilibrium_signs": [
-            {"point": [Fraction(px), Fraction(py)], "sign": verdict}
-            for (px, py), verdict in report.equilibrium_signs
+            # a boxed point's enclosure is printed once, in "equilibria"
+            {"point": [box.x.exact, box.y.exact], "sign": verdict}
+            if box.is_exact else
+            {"approx": list(box.float_point()), "sign": verdict}
+            for box, verdict in report.equilibrium_signs
         ],
         "notes": list(report.notes),
     }
@@ -274,11 +276,11 @@ def report_dict(report: AnalysisReport) -> dict:
         "degrees": list(report.degrees),
         "equilibria": [
             {
-                "point": [cert.point[0], cert.point[1]],
+                "point": list(cert.point),
                 "P_value": cert.P_value,
                 "Q_value": cert.Q_value,
                 "R": _point_value_dict(cert.R_at_point),
-            }
+            } if cert.point is not None else {"box": _box_dict(cert.box)}
             for cert in report.equilibria
         ],
         "curvature": {
@@ -312,14 +314,12 @@ def render_report(report: AnalysisReport) -> str:
     lines.append("equilibria: %d certified" % len(report.equilibria))
     for cert in report.equilibria:
         pv = cert.R_at_point
-        r_text = format_rational(pv.value) if pv.kind == VALUE else pv.kind
-        lines.append("  (%s, %s): R = %s"
-                     % (format_rational(cert.point[0]),
-                        format_rational(cert.point[1]), r_text))
-    for (px, py), sign in report.assertions.equilibrium_signs:
-        lines.append("  sign near (%s, %s): %s"
-                     % (format_rational(px), format_rational(py),
-                        sign.replace("_", " ")))
+        if pv is not None:  # R is only signed at a boxed point
+            r_text = format_rational(pv.value) if pv.kind == VALUE else pv.kind
+            lines.append("  %s: R = %s" % (_point_text(cert.box), r_text))
+    for box, sign in report.assertions.equilibrium_signs:
+        lines.append("  sign near %s: %s"
+                     % (_point_text(box), sign.replace("_", " ")))
 
     locus = report.locus
     if locus.all_branches_empty:

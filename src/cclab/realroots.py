@@ -44,6 +44,7 @@ from math import gcd, lcm
 from .polynomials import UniPoly
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
+_PROBE_WIDTH = Fraction(1, 10**24)  # RootContext.pin's rational-root probe
 
 # --- integer coefficient lists (lowest degree first, no trailing zeros) -----
 
@@ -489,6 +490,16 @@ class RootContext:
         k = max(k_lo, k_hi)
         return self._refine_cell(a << (k - k_lo), b << (k - k_hi), k, width)
 
+    def pin(self, iv: RootInterval) -> RootInterval:
+        """``iv`` refined to width 1e-24, or its root exactly when that is
+        the simplest rational in the refined interval."""
+        tight = self.refine(iv, _PROBE_WIDTH)
+        if tight.exact is None:
+            candidate = simplest_rational_between(tight.lo, tight.hi)
+            if self.sqf.eval_at(candidate) == 0:
+                return RootInterval(candidate, candidate, candidate)
+        return tight
+
     def _refine_cell(self, a: int, b: int, k: int,
                      width: Fraction) -> RootInterval:
         """The interval t in [a / 2^k, b / 2^k], holding one simple root and
@@ -644,9 +655,6 @@ def simplest_rational_between(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(sign * (p * t + q), r * t + s)
 
 
-_PROBE_WIDTH = Fraction(1, 10**24)
-
-
 def rational_root_in(p: UniPoly | RootContext, iv: RootInterval) -> Fraction | None:
     """Detect whether the root isolated by ``iv`` is a (small) rational.
 
@@ -657,11 +665,4 @@ def rational_root_in(p: UniPoly | RootContext, iv: RootInterval) -> Fraction | N
     """
     if iv.exact is not None:
         return iv.exact
-    context = _context_for(p, iv)
-    tight = context.refine(iv, _PROBE_WIDTH)
-    if tight.exact is not None:
-        return tight.exact
-    candidate = simplest_rational_between(tight.lo, tight.hi)
-    if context.sqf.eval_at(candidate) == 0:
-        return candidate
-    return None
+    return _context_for(p, iv).pin(iv).exact

@@ -16,12 +16,13 @@ univariate gcd; fully irrational cells go through an exact interval Newton
 step (rational interval arithmetic, no floating point), whose strict
 containment conclusion proves existence and uniqueness inside the box.
 
-Divergence is judged by jet order.  The reduced denominator vanishes at a
-point of a branch to at least twice the branch's surviving metric-factor
-exponent, because each metric factor is a sum of squares; a partial
-derivative of the reduced numerator of lower order that is nonzero at the
-point (exactly at a rational point, by an enclosure excluding zero on a box
-around an irrational one) proves that |R| is unbounded near it.
+Every sign at a certified point comes from ``sign_at``: exact evaluation at
+a rational point, enclosures over boxes around an irrational one.  Each
+metric factor is a sum of squares, so the reduced denominator vanishes on a
+branch to at least twice its surviving exponent there, and a lower-order
+partial of the reduced numerator that is nonzero at the point proves that
+|R| diverges; at an equilibrium, R has the numerator's sign unless a metric
+factor left in the denominator vanishes there.
 
 Nothing in this module is heuristic: every "empty" is a certificate, every
 point carries an enclosure, and anything the procedure cannot settle is
@@ -33,23 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .curvature import (
-    CurvatureData,
-    PointValue,
-    RationalFunction,
-    ReducedForm,
-    SINGULAR,
-    VALUE,
-)
+from .curvature import CurvatureData, PointValue, ReducedForm
 from .elimination import resultant
-from .polynomials import Poly2, Rat, UniPoly, _dyadic_outward, _to_fraction
+from .polynomials import Poly2, UniPoly, _dyadic_outward
 from .realroots import (
     DEFAULT_WIDTH,
     RootContext,
     RootInterval,
     count_real_roots,
     isolate_real_roots,
-    rational_root_in,
     refine_root,
     simplest_rational_between,
     unipoly_gcd,
@@ -66,6 +59,7 @@ POSITIVE_NEIGHBORHOOD = "positive_neighborhood"
 NEGATIVE_NEIGHBORHOOD = "negative_neighborhood"
 ZERO_AT_POINT = "zero_at_point"
 NOT_CONTINUOUS_HERE = "not_continuous_here"
+SIGN_UNRESOLVED = "sign_unresolved"
 
 # assertion A verdicts
 A_HOLDS = "holds"
@@ -77,10 +71,6 @@ A_FAILS_INDETERMINATE = "fails_indeterminate"
 # --- rational interval helpers ------------------------------------------------
 
 Interval = tuple[Fraction, Fraction]
-
-
-def _ipoint(c: Fraction) -> Interval:
-    return (c, c)
 
 
 def _isub(a: Interval, b: Interval) -> Interval:
@@ -199,12 +189,20 @@ class SingularLocusReport:
 
 @dataclass(frozen=True)
 class EquilibriumCertificate:
-    """Exact evaluation record at a claimed equilibrium point."""
+    """R's sign verdict at an equilibrium enclosed by ``box``; at an exact
+    point also P, Q and the reduced R there (a boxed point is certified, so
+    P and Q vanish there)."""
 
-    point: tuple[Fraction, Fraction]
-    P_value: Fraction
-    Q_value: Fraction
-    R_at_point: PointValue
+    box: PointBox
+    sign: str
+    P_value: Fraction = Fraction(0)
+    Q_value: Fraction = Fraction(0)
+    R_at_point: PointValue | None = None
+
+    @property
+    def point(self) -> tuple[Fraction, Fraction] | None:
+        """The exact point, or None for a boxed one."""
+        return (self.box.x.exact, self.box.y.exact) if self.box.is_exact else None
 
     @property
     def valid(self) -> bool:
@@ -225,7 +223,7 @@ class AssertionReport:
     assertion_A: str
     assertion_B_count: int
     symmetric_pairs: int
-    equilibrium_signs: tuple[tuple[tuple[Fraction, Fraction], str], ...]
+    equilibrium_signs: tuple[tuple[PointBox, str], ...]
     notes: tuple[str, ...] = ()
 
 
@@ -268,10 +266,11 @@ def _certify_half_exact(
 
     Returns an interval for the free coordinate when the pair has a common
     zero there, else None: the exact root when the gcd's root is a rational
-    the probe finds, otherwise the isolating interval refined to width
-    1e-30.  Exact: a common zero on the line exists iff the gcd of the two
-    specializations vanishes, and the isolating interval can hold at most
-    one such zero.
+    the probe finds, otherwise the probe's interval refined to width 1e-30.
+    Exact: a common zero on the line exists iff the gcd of the two
+    specializations vanishes, and the gcd's roots are eliminant roots, so
+    the isolating interval holds at most one; a sign change across it
+    decides whether it does.
     """
     fs = _specialize(f, exact_var, exact_value)
     gs = _specialize(g, exact_var, exact_value)
@@ -288,15 +287,13 @@ def _certify_half_exact(
         return None
     if iv.exact is not None:
         return iv if h.eval_at(iv.exact) == 0 else None
-    if count_real_roots(h, iv.lo, iv.hi) == 0:
+    context = RootContext(h, (iv.lo, iv.hi))
+    t_poly = context.mapped  # the gcd over iv, as a polynomial in t in [0, 1]
+    if t_poly is None or (t_poly[0] > 0) == (sum(t_poly) > 0):
         return None
     # the gcd pins the coordinate: exactly when its root is a rational the
-    # probe surfaces, else to a sharp box for the numerator checks downstream
-    context = RootContext(h, (iv.lo, iv.hi))
-    root = rational_root_in(context, iv)
-    if root is not None:
-        return RootInterval(root, root, root)
-    return refine_root(context, iv, Fraction(1, 10**30))
+    # probe surfaces, else to a sharp box for the sign tests downstream
+    return context.refine(context.pin(iv), Fraction(1, 10**30))
 
 
 class _LineOfSolutions(Exception):
@@ -326,11 +323,11 @@ def _interval_newton_step(
         return ("unknown", ix, iy)
     mx = (ix[0] + ix[1]) / 2
     my = (iy[0] + iy[1]) / 2
-    f_m = _ipoint(f.eval_at(mx, my))
-    g_m = _ipoint(g.eval_at(mx, my))
+    fv, gv = f.eval_at(mx, my), g.eval_at(mx, my)
+    f_m, g_m = (fv, fv), (gv, gv)
     inv_det = _irecip(det)
-    nx = _isub(_ipoint(mx), _imul(_isub(_imul(jd, f_m), _imul(jb, g_m)), inv_det))
-    ny = _isub(_ipoint(my), _imul(_isub(_imul(ja, g_m), _imul(jc, f_m)), inv_det))
+    nx = _isub((mx, mx), _imul(_isub(_imul(jd, f_m), _imul(jb, g_m)), inv_det))
+    ny = _isub((my, my), _imul(_isub(_imul(ja, g_m), _imul(jc, f_m)), inv_det))
     cut_x = _iintersect(nx, ix)
     cut_y = _iintersect(ny, iy)
     if cut_x is None or cut_y is None:
@@ -558,11 +555,41 @@ class _Jets:
 
 
 # Dyadic widths, in bits, the point's box is rounded outward to before the
-# isolating box itself is tried: it still contains the point, and a partial
-# that is nonzero there mostly excludes zero on it already, at a fraction of
-# the cost of evaluating over the isolating box, whose endpoints carry
-# denominators of over 120 bits.
+# box itself, whose endpoints carry over 120-bit denominators, is tried: a
+# polynomial nonzero at the point mostly excludes zero there already.
 _JET_BOX_BITS = (32, 64)
+
+
+def sign_at(box: PointBox, jets: _Jets, orders) -> int | None:
+    """The sign (+1, -1 or 0 when all vanish) at the point of ``box`` of the
+    first partial of the given orders in ``jets`` that is nonzero there.
+
+    An irrational point's partials are enclosed over each of the boxes in
+    turn (rounded to _JET_BOX_BITS, then exact): the first enclosure that
+    excludes zero gives the sign, and a box on which every one is {0} gives
+    0.  None: no box settled it.
+    """
+    if box.is_exact:
+        for k in orders:
+            for d in jets.of_order(k):
+                value = d.eval_at(box.x.exact, box.y.exact)
+                if value:
+                    return 1 if value > 0 else -1
+        return 0
+    ix, iy = box.intervals()
+    for bits in _JET_BOX_BITS + (None,):
+        cell = (ix, iy) if bits is None else \
+            (_dyadic_outward(ix, bits), _dyadic_outward(iy, bits))
+        vanishes = True
+        for k in orders:
+            for d in jets.of_order(k):
+                lo, hi = d.eval_box(*cell)
+                if lo > 0 or hi < 0:
+                    return 1 if lo > 0 else -1
+                vanishes = vanishes and lo == hi == 0
+        if vanishes:
+            return 0
+    return None
 
 
 def _divergence_verdict(
@@ -577,50 +604,24 @@ def _divergence_verdict(
     that vanishes there, to the power den_exponents[i] in the reduced
     denominator; so the denominator vanishes to order >= 2e at the point,
     with e the sum of those exponents.  A partial of the reduced numerator
-    of order k < 2e that is nonzero at the point bounds the numerator's
-    order by k, and then |R| grows like dist**(k - 2e) along some direction:
-    |R| diverges.  At an exact point the partials are evaluated exactly;
-    otherwise a partial is nonzero when its enclosure over a box containing
-    the point excludes zero.
+    of order k < 2e that is nonzero at the point (``sign_at``) bounds the
+    numerator's order by k, and then |R| grows like dist**(k - 2e) along
+    some direction: |R| diverges.
     """
     e = sum(reduced.den_exponents[i] for i in branch_indices)
-    if box.is_exact:
-        px, py = box.x.exact, box.y.exact
-        outcome = reduced.function.evaluate(px, py)
-        if outcome.kind == SINGULAR:
-            return DivergencePoint(box, True, branch_indices)
-        if outcome.kind == VALUE:
-            return DivergencePoint(
-                box, False, branch_indices,
-                "removable: the reduced curvature is finite at this point")
-        for k in range(1, 2 * e):
-            if any(d.eval_at(px, py) != 0 for d in jets.of_order(k)):
-                return DivergencePoint(box, True, branch_indices)
-        return DivergencePoint(
-            box, False, branch_indices,
-            "reduced numerator and denominator both vanish, and so does "
-            f"every partial of the numerator of order below {2 * e}: "
-            "divergence not certified")
-
     if e == 0:
         return DivergencePoint(
             box, False, branch_indices,
             "removable: every metric factor vanishing here cancelled out of "
             "the denominator")
-    ix, iy = box.intervals()
-    for bits in _JET_BOX_BITS + (None,):
-        cell = (ix, iy) if bits is None else \
-            (_dyadic_outward(ix, bits), _dyadic_outward(iy, bits))
-        for k in range(2 * e):
-            for d in jets.of_order(k):
-                lo, hi = d.eval_box(*cell)
-                if lo > 0 or hi < 0:
-                    return DivergencePoint(box, True, branch_indices)
-    return DivergencePoint(
-        box, False, branch_indices,
-        "no partial of the reduced numerator of order 0 to "
-        f"{2 * e - 1} excludes zero on the point's box: divergence not "
-        "certified")
+    sign = sign_at(box, jets, range(2 * e))
+    if sign:
+        return DivergencePoint(box, True, branch_indices)
+    return DivergencePoint(box, False, branch_indices, (
+        "reduced numerator and denominator both vanish, and so does every "
+        f"partial of the numerator of order below {2 * e}" if sign == 0 else
+        f"no partial of the reduced numerator of order 0 to {2 * e - 1} "
+        "excludes zero on the point's box") + ": divergence not certified")
 
 
 def _merge_across_branches(
@@ -669,17 +670,32 @@ def _symmetric_pair_count(points: list[DivergencePoint]) -> int:
 # --- equilibria and the assertion criteria -------------------------------------
 
 
-def verify_equilibrium(
-    system: PlanarSystem,
-    point: tuple[Rat, Rat],
-    curvature: RationalFunction,
-) -> EquilibriumCertificate:
-    """Exact equilibrium check at a rational point, with R's outcome there."""
-    px, py = _to_fraction(point[0]), _to_fraction(point[1])
-    p_val = system.P.eval_at(px, py)
-    q_val = system.Q.eval_at(px, py)
-    r_outcome = curvature.evaluate(px, py)
-    return EquilibriumCertificate((px, py), p_val, q_val, r_outcome)
+def verify_equilibrium(curv: CurvatureData, box: PointBox) -> EquilibriumCertificate:
+    """R's sign verdict at a claimed equilibrium (a rational point, or an
+    enclosure from ``find_equilibria``), and P, Q and R at a rational one.
+
+    The reduced denominator 2 * g11^e1 * g22^e2 is positive unless a factor
+    with e > 0, a sum of squares, vanishes; else R has the numerator's sign.
+    """
+    metric, reduced = curv.metric, curv.reduced
+    factors = [sign_at(box, _Jets(g), (0,)) for g, e in
+               zip((metric.g11, metric.g22), reduced.den_exponents) if e]
+    if 0 in factors:
+        sign = NOT_CONTINUOUS_HERE
+    elif None in factors:
+        sign = SIGN_UNRESOLVED
+    else:
+        sign = _SIGN_VERDICTS[sign_at(box, _Jets(reduced.function.numerator), (0,))]
+    if not box.is_exact:
+        return EquilibriumCertificate(box, sign)
+    px, py = box.x.exact, box.y.exact
+    return EquilibriumCertificate(
+        box, sign, curv.system.P.eval_at(px, py), curv.system.Q.eval_at(px, py),
+        reduced.function.evaluate(px, py))
+
+
+_SIGN_VERDICTS = {1: POSITIVE_NEIGHBORHOOD, -1: NEGATIVE_NEIGHBORHOOD,
+                  0: ZERO_AT_POINT, None: SIGN_UNRESOLVED}
 
 
 def find_equilibria(system: PlanarSystem) -> BranchSolutions:
@@ -710,33 +726,25 @@ def _pinned(system: PlanarSystem, box: PointBox) -> PointBox:
     return PointBox(RootInterval(px, px, px), RootInterval(py, py, py))
 
 
-def _sign_verdict(outcome: PointValue) -> str:
-    """Neighborhood sign verdict from R's exact outcome at an equilibrium."""
-    if outcome.kind != VALUE:
-        return NOT_CONTINUOUS_HERE
-    if outcome.value > 0:
-        return POSITIVE_NEIGHBORHOOD
-    if outcome.value < 0:
-        return NEGATIVE_NEIGHBORHOOD
-    return ZERO_AT_POINT
-
-
 def assertion_report(
     certificates: list[EquilibriumCertificate],
     locus: SingularLocusReport,
+    unresolved_equilibria: int = 0,
 ) -> AssertionReport:
     """Evaluate both curvature-based criteria against certified facts.
 
     The first criterion holds only when R is positive at (hence near) the
-    equilibrium of every certificate and at least one divergence point of
-    |R| is certified.  The second is the certified divergence count itself.
+    equilibrium of every certificate, no equilibrium enclosure is left
+    unresolved, and at least one divergence point of |R| is certified.  It
+    fails outright when R < 0 is certified at an equilibrium.  The second is
+    the certified divergence count itself.
     """
     signs = []
     for cert in certificates:
         if not cert.valid:
             raise ValueError(f"({cert.point[0]}, {cert.point[1]}) is not an "
                              "equilibrium; cannot evaluate the criteria there")
-        signs.append((cert.point, _sign_verdict(cert.R_at_point)))
+        signs.append((cert.box, cert.sign))
 
     b_count = locus.certified_divergence_count
     pair_count = _symmetric_pair_count(list(locus.divergence_points))
@@ -749,11 +757,16 @@ def assertion_report(
     kinds = {verdict for _, verdict in signs}
     if NEGATIVE_NEIGHBORHOOD in kinds:
         verdict_a = A_FAILS_R_NEGATIVE
-    elif NOT_CONTINUOUS_HERE in kinds or ZERO_AT_POINT in kinds or not signs:
+    elif kinds - {POSITIVE_NEIGHBORHOOD} or not signs or unresolved_equilibria:
         verdict_a = A_FAILS_INDETERMINATE
         if ZERO_AT_POINT in kinds:
             notes.append("R is exactly zero at an equilibrium: no sign "
                          "extends to a neighborhood")
+        if SIGN_UNRESOLVED in kinds:
+            notes.append("the sign of R at an equilibrium is unresolved")
+        if unresolved_equilibria:
+            notes.append("an unresolved equilibrium enclosure may hold an "
+                         "equilibrium where R is not positive")
         if not signs:
             notes.append("no equilibria supplied")
     elif b_count == 0 and open_points:

@@ -16,12 +16,20 @@ from cclab.analysis import (
 from cclab.dynamics import Cycle, LimitCycleReport, NUMERIC_POINCARE, TWO_PI
 from cclab.jsonout import dumps
 from cclab.parsing import parse_system
+from cclab.realroots import RootInterval
 from cclab.singularity import (
     A_FAILS_NO_SINGULARITY,
     A_FAILS_R_NEGATIVE,
     A_HOLDS,
+    NEGATIVE_NEIGHBORHOOD,
+    POSITIVE_NEIGHBORHOOD,
+    ZERO_AT_POINT,
     AssertionReport,
+    PointBox,
 )
+
+
+ZERO = RootInterval(Fraction(0), Fraction(0), Fraction(0))
 
 
 def make_assertions(verdict: str, b_count: int) -> AssertionReport:
@@ -29,8 +37,7 @@ def make_assertions(verdict: str, b_count: int) -> AssertionReport:
         assertion_A=verdict,
         assertion_B_count=b_count,
         symmetric_pairs=0,
-        equilibrium_signs=((
-            (Fraction(0), Fraction(0)), "positive_neighborhood"),),
+        equilibrium_signs=((PointBox(ZERO, ZERO), "positive_neighborhood"),),
     )
 
 
@@ -135,7 +142,7 @@ def test_analyze_certifies_each_equilibrium_once(monkeypatch):
     original = cclab.singularity.verify_equilibrium
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((args[1].x.exact, args[1].y.exact))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cclab.analysis, "verify_equilibrium", counting)
@@ -145,8 +152,8 @@ def test_analyze_certifies_each_equilibrium_once(monkeypatch):
     report = analyze(system)
     assert len(report.equilibria) == 2
     assert sorted(calls) == sorted(cert.point for cert in report.equilibria)
-    assert [point for point, _ in report.assertions.equilibrium_signs] == [
-        cert.point for cert in report.equilibria]
+    assert [box for box, _ in report.assertions.equilibrium_signs] == [
+        cert.box for cert in report.equilibria]
 
 
 def test_analyze_pins_rational_equilibria_of_a_double_well():
@@ -164,6 +171,55 @@ def test_analyze_pins_rational_equilibria_off_the_axes():
     assert sorted(cert.point for cert in report.equilibria) == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
     assert not any("irrational enclosure" in note for note in report.notes)
+
+
+# two fields of the seeded generic workload
+GENERIC2_4 = ("vars: x y\ndx = -y + 3/128*x^2 - 3/128*x*y - 1/64*y^2\n"
+              "dy = x + 1/64*x^2 - 1/128*x*y + 1/32*y^2\n")
+GENERIC3_67 = ("vars: x y\ndx = -y + 1/128*y^2 - 1/2048*x*y^2 + 3/4096*y^3\n"
+               "dy = x + 1/32*x^2 - 1/4096*x^3 - 1/1024*y^3\n")
+
+
+def test_irrational_equilibrium_with_negative_curvature_refutes():
+    """R > 0 at the origin and two certified divergences, but R < 0 is
+    certified at an irrational saddle: the first criterion fails."""
+    report = analyze(parse_system(GENERIC2_4))
+    assert report.assertions.assertion_A == A_FAILS_R_NEGATIVE
+    assert report.assertions.assertion_B_count == 2
+    signs = dict(report.assertions.equilibrium_signs)
+    assert len(signs) == len(report.equilibria) == 2
+    (saddle,) = [cert for cert in report.equilibria if cert.point is None]
+    fx, fy = saddle.box.float_point()
+    assert abs(fx + 24.3772) < 1e-4 and abs(fy - 19.1391) < 1e-4
+    assert saddle.valid and saddle.R_at_point is None
+    assert signs[saddle.box] == NEGATIVE_NEIGHBORHOOD
+    assert signs[report.equilibria[1].box] == POSITIVE_NEIGHBORHOOD
+    assert not any("irrational enclosure" in note for note in report.notes)
+
+
+def test_half_exact_equilibria_where_the_numerator_vanishes_are_zero():
+    """The equilibria at x = -26.51... and x = 154.50... on y = 0 have an
+    irrational x; the reduced numerator encloses to {0} on their boxes."""
+    report = analyze(parse_system(GENERIC3_67))
+    on_axis = [cert for cert in report.equilibria
+               if cert.box.y.exact == 0 and cert.box.x.exact is None]
+    assert len(on_axis) == 2
+    assert all(cert.sign == ZERO_AT_POINT for cert in on_axis)
+    assert report.assertions.assertion_A == A_FAILS_R_NEGATIVE
+
+
+def test_boxed_equilibrium_is_printed_once():
+    report = analyze(parse_system(GENERIC2_4))
+    d = report_dict(report)
+    saddle, origin = d["equilibria"]
+    assert set(saddle) == {"box"} and saddle["box"]["x"]["exact"] is None
+    assert origin["point"] == [0, 0]
+    signs = d["assertions"]["equilibrium_signs"]
+    assert signs[0] == {"approx": saddle["box"]["approx"],
+                        "sign": NEGATIVE_NEIGHBORHOOD}
+    assert signs[1] == {"point": [0, 0], "sign": POSITIVE_NEIGHBORHOOD}
+    assert ("sign near (-24.3772208, 19.139144): negative neighborhood"
+            in render_report(report))
 
 
 def test_analyze_skips_scan_off_origin():

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from cclab.curvature import (
     INDETERMINATE,
     SINGULAR,
-    VALUE,
     DegenerateMetricError,
-    PointValue,
     scalar_curvature,
 )
 from cclab.parsing import parse_system
@@ -29,6 +27,7 @@ from cclab.singularity import (
     NEGATIVE_NEIGHBORHOOD,
     POINTS,
     POSITIVE_NEIGHBORHOOD,
+    SIGN_UNRESOLVED,
     DivergencePoint,
     EquilibriumCertificate,
     PointBox,
@@ -41,6 +40,7 @@ from cclab.singularity import (
     assertion_report,
     find_equilibria,
     real_solutions_2x2,
+    sign_at,
     singular_locus,
     verify_equilibrium,
 )
@@ -57,7 +57,7 @@ def P(terms):
 
 def origin_certificate(curv):
     """The exact equilibrium certificate at the origin, as a one-item list."""
-    return [verify_equilibrium(curv.system, (0, 0), curv.reduced.function)]
+    return [verify_equilibrium(curv, _exact_box(0, 0))]
 
 
 # Locus of the two-cycle system, frozen from an independent high-precision
@@ -377,6 +377,10 @@ def test_half_exact_cell_pins_a_rational_root():
     assert boxed.exact is None
     assert boxed.lo ** 2 < 2 < boxed.hi ** 2
     assert boxed.width <= Fraction(1, 10**30)
+    # the gcd y^2 - 2 keeps its sign across (2, 3): no common zero there
+    assert _certify_half_exact(line, P({(0, 2): 1, (0, 0): -2}), "x",
+                               Fraction(1), RootInterval(Fraction(2),
+                                                         Fraction(3))) is None
 
 
 def test_bendixson_divergence_point_is_exact():
@@ -404,14 +408,81 @@ def test_jets_skip_zero_partials_and_build_on_demand():
     assert jets.of_order(4) == ()
 
 
+def test_sign_at_exact_points_and_boxes():
+    poly = P({(1, 0): -1, (0, 1): 2})                    # 2y - x
+    jets = _Jets(poly)
+    assert sign_at(_exact_box(0, 1), jets, (0,)) == 1
+    assert sign_at(_exact_box(2, 1), jets, (0,)) == 0
+    # at (2, 1) the first nonzero partial is d/dx = -1
+    assert sign_at(_exact_box(2, 1), jets, range(2)) == -1
+    third = Fraction(1, 3)
+    assert sign_at(_box(third, 2 * third, -1, 0), jets, (0,)) == -1
+    assert sign_at(_box(-1, 1, -1, 1), jets, (0,)) is None
+
+
+def test_sign_at_reads_an_enclosure_of_zero_as_zero():
+    """On the line y = 0 a multiple of y encloses to {0} on every box
+    around an irrational x, so it vanishes at the point."""
+    box = PointBox(RootInterval(Fraction(141, 100), Fraction(142, 100)),
+                   RootInterval(Fraction(0), Fraction(0), Fraction(0)))
+    multiple_of_y = P({(2, 1): 1, (0, 1): -2})           # (x^2 - 2) y
+    assert sign_at(box, _Jets(multiple_of_y), (0,)) == 0
+    assert sign_at(box, _Jets(multiple_of_y), range(2)) is None
+
+
+# generic2-0 of the seeded generic workload: its denominator zero
+# (-64/9, -128/9) comes out of the Newton step as a one-point box that is
+# not marked exact, and the reduced numerator vanishes there
+GENERIC2_0 = ("-y + 1/128*x^2 - 1/64*x*y - 1/32*y^2",
+              "x + 1/64*x^2 - 1/32*x*y + 1/128*y^2")
+
+
+def test_zero_enclosure_does_not_end_the_divergence_search():
+    dx, dy = GENERIC2_0
+    curv = scalar_curvature(parse_system(f"vars: x y\ndx = {dx}\ndy = {dy}\n"))
+    report = singular_locus(curv)
+    jets = _Jets(curv.reduced.function.numerator)
+    point = next(dp for dp in report.divergence_points
+                 if dp.box.intervals() == ((Fraction(-64, 9),) * 2,
+                                           (Fraction(-128, 9),) * 2))
+    assert sign_at(point.box, jets, (0,)) == 0
+    assert sign_at(point.box, jets, range(4)) != 0
+    assert point.numerator_nonzero
+    assert report.certified_divergence_count == len(report.divergence_points)
+
+
+def test_unresolved_equilibrium_enclosure_makes_the_verdict_indeterminate():
+    box = _box(1, 2, 1, 2)
+    certified = DivergencePoint(box, True, (0,))
+    locus = SingularLocusReport((), (), (certified,), (), ())
+    positive = EquilibriumCertificate(_exact_box(0, 0), POSITIVE_NEIGHBORHOOD)
+    negative = EquilibriumCertificate(box, NEGATIVE_NEIGHBORHOOD)
+    assert assertion_report([positive], locus).assertion_A == A_HOLDS
+    report = assertion_report([positive], locus, 1)
+    assert report.assertion_A == A_FAILS_INDETERMINATE
+    assert any("unresolved equilibrium enclosure" in note
+               for note in report.notes)
+    assert (assertion_report([positive, negative], locus, 1).assertion_A
+            == A_FAILS_R_NEGATIVE)
+
+
+def test_unresolved_equilibrium_sign_makes_the_verdict_indeterminate():
+    locus = SingularLocusReport((), (), (DivergencePoint(_box(1, 2, 1, 2),
+                                                         True, (0,)),), (), ())
+    positive = EquilibriumCertificate(_exact_box(0, 0), POSITIVE_NEIGHBORHOOD)
+    unsigned = EquilibriumCertificate(_box(3, 4, 3, 4), SIGN_UNRESOLVED)
+    report = assertion_report([positive, unsigned], locus)
+    assert report.assertion_A == A_FAILS_INDETERMINATE
+    assert report.equilibrium_signs[1] == (_box(3, 4, 3, 4), SIGN_UNRESOLVED)
+
+
 def test_open_divergence_point_makes_the_first_criterion_indeterminate():
     """A positive equilibrium sign with 0 certified but 1 uncertified
     divergence point is not "no singularity"."""
     box = _box(0, Fraction(1, 10), 0, Fraction(1, 10))
     open_point = DivergencePoint(box, False, (0,), "divergence not certified")
     removable = DivergencePoint(box, False, (1,), "removable: finite here")
-    cert = EquilibriumCertificate((Fraction(0), Fraction(0)), Fraction(0),
-                                  Fraction(0), PointValue(VALUE, Fraction(1)))
+    cert = EquilibriumCertificate(_exact_box(0, 0), POSITIVE_NEIGHBORHOOD)
 
     def locus(points):
         return SingularLocusReport((), (), tuple(points), (), ())
@@ -504,10 +575,10 @@ def test_degenerate_equilibrium_set_rejected():
 
 def test_verify_equilibrium_certificate(curvatures):
     data = curvatures["s1"]
-    cert = verify_equilibrium(data.system, (0, 0), data.reduced.function)
+    cert = verify_equilibrium(data, _exact_box(0, 0))
     assert cert.valid
     assert cert.R_at_point.value == -1
-    off = verify_equilibrium(data.system, (1, 1), data.reduced.function)
+    off = verify_equilibrium(data, _exact_box(1, 1))
     assert not off.valid
 
 
@@ -520,7 +591,7 @@ def test_sign_verdicts(curvatures, loci):
     for key, sign in expected.items():
         report = assertion_report(origin_certificate(curvatures[key]),
                                   loci[key])
-        assert report.equilibrium_signs == (((0, 0), sign),)
+        assert report.equilibrium_signs == ((_exact_box(0, 0), sign),)
 
 
 def test_assertion_reports(curvatures, loci):
@@ -547,7 +618,7 @@ def test_assertion_reports(curvatures, loci):
 
 def test_assertion_report_rejects_non_equilibria(curvatures, loci):
     data = curvatures["s1"]
-    off = verify_equilibrium(data.system, (1, 0), data.reduced.function)
+    off = verify_equilibrium(data, _exact_box(1, 0))
     with pytest.raises(ValueError):
         assertion_report([off], loci["s1"])
 
