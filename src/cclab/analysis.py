@@ -255,7 +255,6 @@ def assertions_dict(report: AssertionReport) -> dict:
     return {
         "assertion_A": report.assertion_A,
         "assertion_B_count": report.assertion_B_count,
-        "symmetric_pairs": report.symmetric_pairs,
         "equilibrium_signs": [
             # a boxed point's enclosure is printed once, in "equilibria"
             {"point": [box.x.exact, box.y.exact], "sign": verdict}
@@ -284,10 +283,8 @@ def report_dict(report: AnalysisReport) -> dict:
             for cert in report.equilibria
         ],
         "curvature": {
-            "raw": _rational_function_dict(report.curvature.curvature),
-            "reduced": _rational_function_dict(report.curvature.reduced.function),
-            "reduced_denominator_exponents":
-                list(report.curvature.reduced.den_exponents),
+            "reduced": _rational_function_dict(report.curvature.curvature),
+            "reduced_denominator_exponents": list(report.curvature.den_exponents),
         },
         "singular_locus": locus_dict(report.locus),
         "assertions": assertions_dict(report.assertions),
@@ -338,11 +335,9 @@ def render_report(report: AnalysisReport) -> str:
     if locus.unresolved:
         lines.append("  %d unresolved enclosure(s)" % len(locus.unresolved))
 
-    lines.append("criterion report: first criterion %s, divergence count %d, "
-                 "symmetric pairs %d"
+    lines.append("criterion report: first criterion %s, divergence count %d"
                  % (report.assertions.assertion_A.replace("_", " "),
-                    report.assertions.assertion_B_count,
-                    report.assertions.symmetric_pairs))
+                    report.assertions.assertion_B_count))
 
     for title, cyc in (("exact radial cycles", report.cycles_exact),
                        ("numeric scan cycles", report.cycles_numeric)):

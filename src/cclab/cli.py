@@ -84,10 +84,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_curvature(args) -> int:
     system = _load_system(args.system)
     curv = scalar_curvature(system)
-    reduced = curv.reduced.function
+    reduced = curv.curvature
     print("numerator = %s" % reduced.numerator)
     print("denominator = %s" % reduced.denominator)
-    e1, e2 = curv.reduced.den_exponents
+    e1, e2 = curv.den_exponents
     print("denominator structure: 2 * g11^%d * g22^%d" % (e1, e2))
     if args.at is not None:
         px, py = (parse_rational(args.at[0]), parse_rational(args.at[1]))

@@ -14,9 +14,10 @@ the scalar curvature of this metric is the rational function
           - (dW/dx * d(g22)/dx + dW/dy * d(g11)/dy) ] / (2 * W^2)
 
 obtained by expanding the usual divergence form of the curvature of a
-diagonal metric; every square root cancels.  Numerator and denominator are
-kept unreduced (no bivariate gcd is attempted); equality of rational
-functions is decided by cross-multiplication, which is exact and total.
+diagonal metric; every square root cancels.  Only whole copies of g11 and
+g22 are cancelled from the quotient (no bivariate gcd is attempted);
+equality of rational functions is decided by cross-multiplication, which is
+exact and total.
 """
 
 from __future__ import annotations
@@ -118,35 +119,23 @@ class VanishingPair:
 
 
 @dataclass(frozen=True)
-class ReducedForm:
-    """The curvature with known metric factors cancelled out of N/(2W^2).
-
-    The raw pair can share whole copies of g11 or g22 between numerator and
-    denominator, which turns genuine poles into spurious 0/0 points.  This
-    form divides both sides by those two polynomials (only them, never a
-    general gcd) while the division stays exact, so the denominator is
-    2 * g11^e1 * g22^e2 with the recorded exponents.  Equal to the raw pair
-    as a rational function by construction.
-    """
-
-    function: RationalFunction
-    den_exponents: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class CurvatureData:
     """Everything the curvature computation produces for one system.
 
-    ``curvature`` is the literal rationalization N/(2W^2); ``reduced`` is the
-    same function with shared g11/g22 copies cancelled, which is the pair to
-    evaluate at points (its outcomes classify 0/0 points correctly whenever
-    the shared factor was one of the metric entries).
+    ``curvature`` is N/(2W^2) with shared metric factors cancelled.  The
+    literal pair can share whole copies of g11 or g22 between numerator and
+    denominator, which turns genuine poles into spurious 0/0 points; both
+    sides are divided by those two polynomials (only them, never a general
+    gcd) while the division stays exact, so the denominator is
+    2 * g11^e1 * g22^e2 with ``den_exponents`` (e1, e2).  Its outcomes at
+    points classify 0/0 points correctly whenever the shared factor was one
+    of the metric entries.
     """
 
     system: PlanarSystem
     metric: MetricComponents
     curvature: RationalFunction
-    reduced: ReducedForm
+    den_exponents: tuple[int, int]
     branches: tuple[VanishingPair, VanishingPair]
 
 
@@ -160,7 +149,7 @@ def metric_components(system: PlanarSystem) -> MetricComponents:
 
 
 def scalar_curvature(system: PlanarSystem) -> CurvatureData:
-    """Exact scalar curvature as an unreduced rational function.
+    """Exact scalar curvature as a rational function, metric factors cancelled.
 
     Raises DegenerateMetricError when the determinant is identically zero
     (one Jacobian column vanishes as a polynomial), in which case the metric
@@ -183,18 +172,14 @@ def scalar_curvature(system: PlanarSystem) -> CurvatureData:
         VanishingPair(system.P.partial(a), system.Q.partial(a), column=a),
         VanishingPair(system.P.partial(b), system.Q.partial(b), column=b),
     )
-    reduced = _cancel_metric_factors(numerator, g11, g22)
-    # 2W^2 = (2 * g11^e1 * g22^e2) * g11^(2-e1) * g22^(2-e2): extend the
-    # reduced denominator by the cancelled copies instead of squaring W
-    denominator = reduced.function.denominator
-    for factor, exponent in zip((g11, g22), reduced.den_exponents):
-        if exponent < 2:
-            denominator = denominator * factor ** (2 - exponent)
-    return CurvatureData(system, metric, RationalFunction(numerator, denominator),
-                         reduced, branches)
+    curvature, exponents = _cancel_metric_factors(numerator, g11, g22)
+    return CurvatureData(system, metric, curvature, exponents, branches)
 
 
-def _cancel_metric_factors(numerator: Poly2, g11: Poly2, g22: Poly2) -> ReducedForm:
+def _cancel_metric_factors(numerator: Poly2, g11: Poly2,
+                           g22: Poly2) -> tuple[RationalFunction, tuple[int, int]]:
+    """N / (2 * g11^2 * g22^2) with whole copies of g11 and g22 divided out
+    of both sides, and the exponents (e1, e2) left in the denominator."""
     exponents = [2, 2]
     num = numerator
     for idx, factor in ((0, g11), (1, g22)):
@@ -206,7 +191,7 @@ def _cancel_metric_factors(numerator: Poly2, g11: Poly2, g22: Poly2) -> ReducedF
             exponents[idx] -= 1
     den = Poly2.constant(2, numerator.varnames)
     den = den * g11 ** exponents[0] * g22 ** exponents[1]
-    return ReducedForm(RationalFunction(num, den), (exponents[0], exponents[1]))
+    return RationalFunction(num, den), (exponents[0], exponents[1])
 
 
 # Central-difference step of numeric_curvature_probe.

@@ -3,11 +3,12 @@
 The resultant of two bivariate polynomials with respect to one variable is the
 determinant of their Sylvester matrix, whose entries here are univariate
 polynomials in the surviving variable.  The determinant is computed in
-integers: each row is multiplied by the common denominator of its entries,
-which for a Sylvester matrix is c_f on the rows of f and c_g on those of g,
-and Bareiss's fraction-free elimination then runs on integer coefficient
-lists, where every intermediate division is exact (each intermediate entry is
-itself a minor of the integer matrix).  Dividing the integer determinant by
+integers: each row is multiplied by the lcm of its entries' content
+denominators, which is the common denominator of their coefficients and for
+a Sylvester matrix is c_f on the rows of f and c_g on those of g.  Bareiss's
+fraction-free elimination then runs on the entries' integer coefficient
+lists, where every intermediate division is exact (each intermediate entry
+is itself a minor of the integer matrix).  Dividing the integer determinant by
 the product of the row factors, c_f^n * c_g^m, gives the determinant of the
 original matrix, so the eliminant is the same rational polynomial.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .polynomials import Poly2, UniPoly
+from .polynomials import Poly2, UniPoly, _divexact, _mul, _sub
 
 
 def sylvester_matrix(f: Poly2, g: Poly2, eliminate: str) -> list[list[UniPoly]]:
@@ -58,45 +59,6 @@ def sylvester_matrix(f: Poly2, g: Poly2, eliminate: str) -> list[list[UniPoly]]:
     return rows
 
 
-# --- integer coefficient lists (lowest degree first, no trailing zeros) -----
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _divexact(a: list[int], b: list[int]) -> list[int]:
-    """a / b for b dividing a over the integers (long division, top down)."""
-    if len(b) == 1:
-        return a if b[0] == 1 else [x // b[0] for x in a]
-    rem = list(a)
-    db, lead = len(b) - 1, b[-1]
-    quot = [0] * max(len(a) - db, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        q = rem[k + db] // lead
-        quot[k] = q
-        if q:
-            for i, y in enumerate(b):
-                rem[k + i] -= q * y
-    return quot
-
-
 def bareiss_determinant(matrix: list[list[UniPoly]], var: str) -> UniPoly:
     """Determinant of a square matrix of univariate polynomials, fraction-free."""
     size = len(matrix)
@@ -107,10 +69,10 @@ def bareiss_determinant(matrix: list[list[UniPoly]], var: str) -> UniPoly:
     m: list[list[list[int]]] = []
     scale = 1
     for row in matrix:
-        den = lcm(*(c.denominator for entry in row for c in entry.coeffs))
+        den = lcm(*(entry.content.denominator for entry in row))
         scale *= den
-        m.append([[c.numerator * (den // c.denominator) for c in entry.coeffs]
-                  for entry in row])
+        m.append([[entry.content.numerator * (den // entry.content.denominator) * c
+                   for c in entry.ints] for entry in row])
     sign = 1
     prev = [1]
     for k in range(size - 1):
@@ -129,7 +91,7 @@ def bareiss_determinant(matrix: list[list[UniPoly]], var: str) -> UniPoly:
                 row[j] = _divexact(
                     _sub(_mul(row[j], pivot), _mul(lead, row_k[j])), prev)
         prev = pivot
-    return UniPoly([Fraction(sign * c, scale) for c in m[-1][-1]], var)
+    return UniPoly._make(Fraction(sign, scale), m[-1][-1], var)
 
 
 def resultant(f: Poly2, g: Poly2, eliminate: str) -> UniPoly:

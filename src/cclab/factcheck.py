@@ -29,7 +29,6 @@ from .growth import (
     contradiction_threshold,
 )
 from .jsonout import format_rational
-from .polynomials import UniPoly
 from .realroots import count_real_roots
 from .singularity import A_HOLDS, EMPTY_CERTIFIED, real_solutions_2x2
 
@@ -69,7 +68,7 @@ def _check_origin_value(harness: _Harness, key: str):
     def run():
         entry = harness.catalogue[key]
         expected = entry.curvature_at_origin.value
-        outcome = harness.report_for(key).curvature.reduced.function.evaluate(
+        outcome = harness.report_for(key).curvature.curvature.evaluate(
             Fraction(0), Fraction(0))
         if outcome.kind != VALUE:
             return False, "R is %s at the origin" % outcome.kind
@@ -170,7 +169,7 @@ def _check_stated_eliminants(harness: _Harness):
             status = real_solutions_2x2(stated.pair[0], stated.pair[1]).status
             if status != EMPTY_CERTIFIED:
                 return False, "pair status is %s, not certified empty" % status
-            if _proportional(stated.quartic, own):
+            if stated.quartic.ints == own.ints:  # proportional
                 extra = "the stated quartic matches the build's eliminant up to scale"
             else:
                 extra = ("the stated quartic is not a constant multiple of the "
@@ -179,14 +178,6 @@ def _check_stated_eliminants(harness: _Harness):
             return True, extra
         harness.add("stated eliminant for the %s denominator branch is "
                     "real-root-free" % position, run)
-
-
-def _proportional(a: UniPoly, b: UniPoly) -> bool:
-    if a.degree != b.degree:
-        return False
-    ca, cb = a.coeffs, b.coeffs
-    lead_a, lead_b = ca[-1], cb[-1]
-    return all(x * lead_b == y * lead_a for x, y in zip(ca, cb))
 
 
 def _check_cycles(harness: _Harness, key: str):

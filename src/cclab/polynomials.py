@@ -8,9 +8,11 @@ Two representations cover everything the analysis needs:
   coefficient at the lex-largest pair is positive.  The pair of variable
   names travels with the polynomial so that mixing systems written in
   different coordinates is rejected instead of silently reinterpreted.
-* ``UniPoly`` -- univariate polynomials stored densely, lowest degree first.
+* ``UniPoly`` -- univariate polynomials, stored the same way: one rational
+  content times a primitive tuple of ints, lowest degree first, whose
+  leading entry is positive.
 
-Every ``Poly2`` operation runs on the integer maps and touches the content
+Every operation runs on the integer coefficients and touches the content
 once.  Gauss's lemma (a product of primitive polynomials is primitive)
 makes products need no gcd and makes exact division over the rationals
 the same as exact division of the primitive parts over the integers.
@@ -44,6 +46,19 @@ def _to_fraction(value: Rat) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _power(base, exponent: int, one):
+    """base ** exponent by binary powering, from the polynomial ``one``."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base if exponent > 1 else base
+        exponent >>= 1
+    return result
+
+
 def _check_varnames(varnames: tuple[str, str]) -> tuple[str, str]:
     a, b = varnames
     for name in (a, b):
@@ -52,6 +67,15 @@ def _check_varnames(varnames: tuple[str, str]) -> tuple[str, str]:
     if a == b:
         raise ValueError(f"variable names must differ, got {a!r} twice")
     return (a, b)
+
+
+def _over_common(c1: Fraction, c2: Fraction) -> tuple[int, int, Fraction]:
+    """Coprime ints a1, a2 and the rational c with c1 = a1 * c and c2 = a2 * c."""
+    den = math.lcm(c1.denominator, c2.denominator)
+    a1 = c1.numerator * (den // c1.denominator)
+    a2 = c2.numerator * (den // c2.denominator)
+    g = math.gcd(a1, a2)
+    return a1 // g, a2 // g, Fraction(g, den)
 
 
 def _normal_form(content: Fraction, ints: IntTerms) -> tuple[Fraction, IntTerms]:
@@ -215,18 +239,12 @@ class Poly2:
             return self
         if not self.ints:
             return Poly2._primitive(content, ints, self.varnames)
-        c1, c2 = self.content, content
-        den = math.lcm(c1.denominator, c2.denominator)
-        a1 = c1.numerator * (den // c1.denominator)
-        a2 = c2.numerator * (den // c2.denominator)
-        g = math.gcd(a1, a2)
-        a1 //= g
-        a2 //= g
+        a1, a2, common = _over_common(self.content, content)
         out = {key: a1 * c for key, c in self.ints.items()}
         get = out.get
         for key, c in ints.items():
             out[key] = get(key, 0) + a2 * c
-        return Poly2._make(Fraction(g, den), out, self.varnames)
+        return Poly2._make(common, out, self.varnames)
 
     def __add__(self, other) -> Poly2:
         rhs = self._coerce(other)
@@ -267,17 +285,7 @@ class Poly2:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly2:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = Poly2.constant(1, self.varnames)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, exponent, Poly2.constant(1, self.varnames))
 
     def scale(self, factor: Rat) -> Poly2:
         f = _to_fraction(factor)
@@ -456,13 +464,10 @@ class Poly2:
         zero polynomial.
         """
         survivor = self.varnames[1 - self._axis(var)]
-        n, d = self.content.numerator, self.content.denominator
-        out = []
-        for row in self._int_rows(var):
-            coeffs = ([Fraction(n * row.get(k, 0), d) for k in range(max(row) + 1)]
-                      if row else [])
-            out.append(UniPoly(coeffs, survivor))
-        return out
+        return [UniPoly._make(self.content,
+                              [row.get(k, 0) for k in range(max(row, default=-1) + 1)],
+                              survivor)
+                for row in self._int_rows(var)]
 
     def __repr__(self) -> str:
         return f"Poly2({format_poly2(self)!r}, vars={self.varnames})"
@@ -557,19 +562,111 @@ def _int_power_table(p: IntTerms, upto: int) -> list[IntTerms]:
     return table
 
 
-class UniPoly:
-    """A univariate polynomial, dense coefficients lowest degree first."""
+# --- the univariate integer kernel --------------------------------------------
+#
+# Integer coefficient lists, lowest degree first, with no trailing zeros.
 
-    __slots__ = ("coeffs", "var")
+
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _mul(a, b) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _sub(a, b) -> list[int]:
+    out = [*a, *[0] * (len(b) - len(a))]
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def _divexact(a, b) -> list[int]:
+    """a / b over the integers, by long division from the top; ValueError
+    unless b divides a."""
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        # each step's remainder stays in rem, where the check finds it
+        q, rem[k + db] = divmod(rem[k + db], lead)
+        quot[k] = q
+        if q:
+            for i in range(db):
+                rem[k + i] -= q * b[i]
+    if any(rem):
+        raise ValueError("division was not exact")
+    return quot
+
+
+def _horner(coeffs, num: int, den: int) -> int:
+    """den**d * p(num / den) for p of degree d, by integer Horner."""
+    total = 0
+    power = 1  # den**(d - k) at coefficient k, built from the top down
+    for c in reversed(coeffs):
+        total = total * num + c * power
+        power *= den
+    return total
+
+
+def _uni_normal_form(content: Fraction, ints) -> tuple[Fraction, tuple[int, ...]]:
+    """``content * ints`` as (content, primitive tuple with positive lead)."""
+    ints = _trim(list(ints))
+    if not ints or not content:
+        return _ZERO, ()
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [c // g for c in ints]
+        content = content * g
+    return content, tuple(ints)
+
+
+class UniPoly:
+    """A univariate polynomial with exact rational coefficients.
+
+    The polynomial is ``content * sum(c * var**k)`` over ``ints[k]``.
+    ``ints`` is a tuple of ints, lowest degree first, with gcd 1 and a
+    positive leading entry; the zero polynomial is content 0 with ``()``.
+    The form is unique, so ``==`` compares the pairs and two nonzero
+    polynomials are proportional exactly when their ``ints`` are equal.
+    Every operation runs on the integer kernel above and touches the
+    content once, as ``Poly2`` does; ``coeffs`` is the Fraction view.
+    """
+
+    __slots__ = ("content", "ints", "var")
 
     def __init__(self, coeffs: Iterable[Rat], var: str = "t"):
         clean = [_to_fraction(c) for c in coeffs]
-        while clean and clean[-1] == 0:
-            clean.pop()
+        den = math.lcm(*(c.denominator for c in clean))
+        content, ints = _uni_normal_form(
+            Fraction(1, den), [c.numerator * (den // c.denominator) for c in clean])
         if not var.isidentifier():
             raise ValueError(f"invalid variable name: {var!r}")
-        object.__setattr__(self, "coeffs", tuple(clean))
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "var", var)
+
+    @classmethod
+    def _make(cls, content: Fraction, ints, var: str) -> UniPoly:
+        """``content * ints`` for any integer list: one gcd brings it to normal form."""
+        poly = object.__new__(cls)
+        content, ints = _uni_normal_form(content, ints)
+        object.__setattr__(poly, "content", content)
+        object.__setattr__(poly, "ints", ints)
+        object.__setattr__(poly, "var", var)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -586,24 +683,23 @@ class UniPoly:
     def variable(cls, var: str = "t") -> UniPoly:
         return cls([0, 1], var)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first; a new tuple."""
+        n, d = self.content.numerator, self.content.denominator
+        return tuple(Fraction(n * c, d) for c in self.ints)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return len(self.ints) - 1
 
     def constant_value(self) -> Fraction | None:
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) == 1:
-            return self.coeffs[0]
-        return None
+        if len(self.ints) > 1:
+            return None
+        return self.content
 
     def _coerce(self, other) -> UniPoly | None:
         if isinstance(other, UniPoly):
@@ -614,116 +710,93 @@ class UniPoly:
             return UniPoly([other], self.var)
         return None
 
+    def _plus(self, content: Fraction, ints: tuple[int, ...]) -> UniPoly:
+        """self + content * ints, over the lcm of the two denominators."""
+        if not ints:
+            return self
+        if not self.ints:
+            return UniPoly._make(content, ints, self.var)
+        a1, a2, common = _over_common(self.content, content)
+        return UniPoly._make(common, _sub([a1 * c for c in self.ints],
+                                          [-a2 * c for c in ints]), self.var)
+
     def __add__(self, other) -> UniPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(rhs.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(rhs.coeffs):
-            out[i] += c
-        return UniPoly(out, self.var)
+        return self._plus(rhs.content, rhs.ints)
 
     __radd__ = __add__
 
     def __neg__(self) -> UniPoly:
-        return UniPoly([-c for c in self.coeffs], self.var)
+        return UniPoly._make(-self.content, self.ints, self.var)
 
     def __sub__(self, other) -> UniPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._plus(-rhs.content, rhs.ints)
 
     def __rsub__(self, other) -> UniPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._plus(-self.content, self.ints)
 
     def __mul__(self, other) -> UniPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not self.coeffs or not rhs.coeffs:
-            return UniPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(rhs.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(rhs.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out, self.var)
+        # Gauss's lemma: the product of the primitive parts is primitive,
+        # with a positive leading entry
+        return UniPoly._make(self.content * rhs.content,
+                             _mul(self.ints, rhs.ints), self.var)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> UniPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = UniPoly.constant(1, self.var)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, exponent, UniPoly.constant(1, self.var))
 
     def scale(self, factor: Rat) -> UniPoly:
-        f = _to_fraction(factor)
-        return UniPoly([c * f for c in self.coeffs], self.var)
+        return UniPoly._make(self.content * _to_fraction(factor), self.ints,
+                             self.var)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = UniPoly([other], self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return (self.var == other.var and self.content == other.content
+                and self.ints == other.ints)
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.var))
+        return hash((self.content, self.ints, self.var))
 
     def eval_at(self, point: Rat) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact evaluation at a rational point, by one integer Horner pass."""
         p = _to_fraction(point)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * p + c
-        return total
+        total = _horner(self.ints, p.numerator, p.denominator)
+        return Fraction(self.content.numerator * total,
+                        self.content.denominator * p.denominator ** max(self.degree, 0))
 
     def derivative(self) -> UniPoly:
-        if len(self.coeffs) <= 1:
-            return UniPoly.zero(self.var)
-        return UniPoly([c * k for k, c in enumerate(self.coeffs) if k >= 1], self.var)
+        return UniPoly._make(self.content,
+                             [k * c for k, c in enumerate(self.ints)][1:], self.var)
 
-    def divmod(self, divisor: UniPoly) -> tuple[UniPoly, UniPoly]:
-        """Exact polynomial division with remainder over the rationals."""
+    def divexact(self, divisor: UniPoly) -> UniPoly:
+        """Division known to be exact; raises ValueError if a remainder appears.
+
+        By Gauss's lemma an exact quotient of the primitive parts is a
+        primitive integer polynomial, so the division runs on ``ints``.
+        """
         if divisor.var != self.var:
             raise ValueError(f"variable names differ: {self.var!r} vs {divisor.var!r}")
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        ddeg = divisor.degree
-        dlead = divisor.leading()
-        quot = [Fraction(0)] * max(len(rem) - ddeg, 0)
-        for k in range(len(rem) - 1, ddeg - 1, -1):
-            factor = rem[k] / dlead
-            if factor == 0:
-                continue
-            quot[k - ddeg] = factor
-            for i, c in enumerate(divisor.coeffs):
-                rem[k - ddeg + i] -= factor * c
-        return UniPoly(quot, self.var), UniPoly(rem[:ddeg] if ddeg > 0 else [], self.var)
-
-    def divexact(self, divisor: UniPoly) -> UniPoly:
-        """Division known to be exact; raises if a remainder appears."""
-        q, r = self.divmod(divisor)
-        if not r.is_zero():
-            raise ValueError("division was not exact")
-        return q
+        if self.is_zero():
+            return self
+        return UniPoly._make(self.content / divisor.content,
+                             _divexact(self.ints, divisor.ints), self.var)
 
     def __repr__(self) -> str:
         return f"UniPoly({format_unipoly(self)!r})"
@@ -737,10 +810,6 @@ class UniPoly:
 # Terms are ordered by total degree descending, then by the power of the first
 # variable descending.  The output uses explicit '*' and '^' and reparses to
 # the same polynomial under the expression grammar.
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
 
 
 def _format_monomial(i: int, j: int, varnames: tuple[str, str]) -> str:
@@ -782,9 +851,10 @@ def format_poly2(p: Poly2) -> str:
 def format_unipoly(p: UniPoly) -> str:
     if p.is_zero():
         return "0"
+    coeffs = p.coeffs
     pieces: list[str] = []
     for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+        c = coeffs[k]
         if c == 0:
             continue
         if k == 0:
@@ -797,9 +867,9 @@ def format_unipoly(p: UniPoly) -> str:
         if mono and mag == 1:
             body = mono
         elif mono:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         else:
-            body = _format_coeff(mag)
+            body = str(mag)
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -1,9 +1,10 @@
 """Certified real-root counting and isolation for univariate polynomials.
 
-Counting uses Sturm chains computed fraction-free: polynomials are first
-cleared to primitive integer coefficient lists, and the remainder sequence
-applies pseudo-division with positive scaling plus content stripping, which
-keeps coefficient growth polynomial instead of exponential.
+Counting uses Sturm chains computed fraction-free on a polynomial's
+primitive integer part ``UniPoly.ints`` (the rational content has no sign
+variation to add), and the remainder sequence applies pseudo-division with
+positive scaling plus content stripping, which keeps coefficient growth
+polynomial instead of exponential.
 
 Isolation and refinement run in integers on one root context per
 polynomial (:class:`RootContext`): its square-free part, with any root at a
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polynomials import UniPoly
+from .polynomials import UniPoly, _horner, _trim
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
 _PROBE_WIDTH = Fraction(1, 10**24)  # RootContext.pin's rational-root probe
@@ -49,54 +50,17 @@ _PROBE_WIDTH = Fraction(1, 10**24)  # RootContext.pin's rational-root probe
 # --- integer coefficient lists (lowest degree first, no trailing zeros) -----
 
 
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _content(coeffs: list[int]) -> int:
-    c = 0
-    for a in coeffs:
-        c = gcd(c, abs(a))
-        if c == 1:
-            return 1
-    return c if c else 1
-
-
 def _primitive(coeffs: list[int]) -> list[int]:
+    """The coefficients over their gcd, sign kept."""
     coeffs = _trim(list(coeffs))
-    c = _content(coeffs)
+    c = gcd(*coeffs)
     return [a // c for a in coeffs] if c > 1 else coeffs
 
 
-def _to_int_poly(p: UniPoly) -> list[int]:
-    """Primitive integer coefficients with the same sign pattern as p."""
-    if p.is_zero():
-        return []
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
-
-
-def _from_int_poly(coeffs: list[int], var: str) -> UniPoly:
-    return UniPoly([Fraction(c) for c in coeffs], var)
-
-
-def _int_derivative(coeffs: list[int]) -> list[int]:
-    return _trim([k * c for k, c in enumerate(coeffs)][1:])
-
-
-def _int_eval_sign(coeffs: list[int], point: Fraction) -> int:
+def _int_eval_sign(coeffs, point: Fraction) -> int:
     """Exact sign of the polynomial at a rational point, via integer Horner."""
-    num, den = point.numerator, point.denominator
-    if not coeffs:
-        return 0
-    total = 0
-    power = 1  # den^(deg - k) built incrementally, evaluated highest first
-    for c in reversed(coeffs):
-        total = total * num + c * power
-        power *= den
-    # the powers of den above are off by the shared factor den^deg > 0
+    # the value is off by the factor den^deg > 0
+    total = _horner(coeffs, point.numerator, point.denominator)
     return (total > 0) - (total < 0)
 
 
@@ -139,12 +103,12 @@ def _pseudo_rem_scaled(a: list[int], b: list[int]) -> list[int]:
 
 
 def sturm_chain(p: UniPoly) -> list[list[int]]:
-    """The Sturm chain of p as primitive integer polynomials."""
-    p0 = _to_int_poly(p)
-    if not p0:
+    """The Sturm chain of p's primitive part ``p.ints``, as primitive
+    integer polynomials."""
+    if p.is_zero():
         raise ValueError("Sturm chain of the zero polynomial")
-    chain = [p0]
-    p1 = _primitive(_int_derivative(p0))
+    chain = [list(p.ints)]
+    p1 = list(p.derivative().ints)
     if p1:
         chain.append(p1)
         while True:
@@ -201,14 +165,11 @@ def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Primitive gcd with positive leading coefficient (1 for coprime inputs)."""
     if a.var != b.var:
         raise ValueError(f"variable names differ: {a.var!r} vs {b.var!r}")
-    fa, fb = _to_int_poly(a), _to_int_poly(b)
+    fa, fb = a.ints, b.ints
     while fb:
         fa, fb = fb, _primitive(_pseudo_rem_scaled(fa, fb))
-    if not fa:
-        return UniPoly.zero(a.var)
-    if fa[-1] < 0:
-        fa = [-c for c in fa]
-    return _from_int_poly(fa, a.var)
+    # fa is primitive, so its sign is all the content there is to remove
+    return UniPoly._make(Fraction(-1 if fa and fa[-1] < 0 else 1), fa, a.var)
 
 
 def square_free_part(p: UniPoly) -> UniPoly:
@@ -255,9 +216,8 @@ def root_multiplicity(p: UniPoly, interval: RootInterval) -> int:
             if factor.eval_at(interval.exact) == 0:
                 return mult
         else:
-            fi = _to_int_poly(factor)
-            slo = _int_eval_sign(fi, interval.lo)
-            shi = _int_eval_sign(fi, interval.hi)
+            slo = _int_eval_sign(factor.ints, interval.lo)
+            shi = _int_eval_sign(factor.ints, interval.hi)
             if slo == 0 or shi == 0 or slo != shi:
                 return mult
     raise ValueError("interval does not isolate a root of p")
@@ -287,9 +247,7 @@ def root_bound(p: UniPoly) -> Fraction:
     """A bound M with every real root strictly inside (-M, M) (Cauchy)."""
     if p.is_zero() or p.degree <= 0:
         return Fraction(1)
-    lead = abs(p.leading())
-    worst = max(abs(c) for c in p.coeffs[:-1]) if p.degree >= 1 else Fraction(0)
-    return Fraction(1) + worst / lead
+    return 1 + Fraction(max(map(abs, p.ints[:-1])), p.ints[-1])
 
 
 def _fujiwara_bound(coeffs: list[int]) -> Fraction:
@@ -400,9 +358,9 @@ class RootContext:
         self.den = lcm(lo.denominator, hi.denominator)
         self.num = lo.numerator * (self.den // lo.denominator)
         self.scale = hi.numerator * (self.den // hi.denominator) - self.num
-        self.mapped = self._map(_to_int_poly(sqf))
+        self.mapped = self._map(sqf.ints)
 
-    def _map(self, coeffs: list[int]) -> list[int]:
+    def _map(self, coeffs) -> list[int]:
         return _taylor_map(coeffs, self.num, self.scale, self.den)
 
     def _point(self, j: int, level: int) -> Fraction:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .curvature import CurvatureData, PointValue, ReducedForm
+from .curvature import CurvatureData, PointValue
 from .elimination import resultant
 from .polynomials import Poly2, UniPoly, _dyadic_outward
 from .realroots import (
@@ -125,12 +125,6 @@ class PointBox:
         return (_iintersect(self.intervals()[0], other.intervals()[0]) is not None
                 and _iintersect(self.intervals()[1], other.intervals()[1]) is not None)
 
-    def reflected(self) -> PointBox:
-        def flip(iv: RootInterval) -> RootInterval:
-            return RootInterval(-iv.hi, -iv.lo,
-                                None if iv.exact is None else -iv.exact)
-        return PointBox(flip(self.x), flip(self.y))
-
 
 @dataclass(frozen=True)
 class BranchSolutions:
@@ -215,14 +209,11 @@ class AssertionReport:
 
     ``assertion_A`` records whether R is positive at (hence near) every given
     equilibrium while |R| also diverges somewhere; ``assertion_B_count`` is
-    the number of certified isolated divergence points, with points forming
-    opposite pairs (p, -p) counted separately but tallied in
-    ``symmetric_pairs``.
+    the number of certified isolated divergence points.
     """
 
     assertion_A: str
     assertion_B_count: int
-    symmetric_pairs: int
     equilibrium_signs: tuple[tuple[PointBox, str], ...]
     notes: tuple[str, ...] = ()
 
@@ -250,9 +241,7 @@ def _specialize(poly: Poly2, var: str, value: Fraction) -> UniPoly:
         for m, c in row.items():
             acc[m] += c * q_power
         q_power *= q
-    num = poly.content.numerator
-    den = poly.content.denominator * q ** deg
-    return UniPoly([Fraction(num * a, den) for a in acc], survivor)
+    return UniPoly._make(poly.content / q ** deg, acc, survivor)
 
 
 def _certify_exact(f: Poly2, g: Poly2, cx: Fraction, cy: Fraction) -> bool:
@@ -479,8 +468,10 @@ def _certify_cell(
         if verdict == "rejected":
             return None
         if verdict == "certified":
-            return ("point", PointBox(RootInterval(nx[0], nx[1]),
-                                      RootInterval(ny[0], ny[1])))
+            # the box holds exactly one zero, so an image coordinate that
+            # collapsed to one value is that zero's coordinate, exactly
+            return ("point", PointBox(*(RootInterval(lo, hi, lo if lo == hi else None)
+                                        for lo, hi in (nx, ny))))
         shrink_width = shrink_width * shrink_width
         ivx = refine_root(context_a, ivx, shrink_width)
         ivy = refine_root(context_b, ivy, shrink_width)
@@ -514,9 +505,9 @@ def singular_locus(curv: CurvatureData) -> SingularLocusReport:
             located.append((box, (idx,)))
         unresolved.extend(bs.unresolved)
 
-    jets = _Jets(curv.reduced.function.numerator)
+    jets = _Jets(curv.curvature.numerator)
     divergence = [
-        _divergence_verdict(curv.reduced, jets, box, indices)
+        _divergence_verdict(curv.den_exponents, jets, box, indices)
         for box, indices in _merge_across_branches(located)
     ]
     return SingularLocusReport(
@@ -593,7 +584,7 @@ def sign_at(box: PointBox, jets: _Jets, orders) -> int | None:
 
 
 def _divergence_verdict(
-    reduced: ReducedForm,
+    den_exponents: tuple[int, int],
     jets: _Jets,
     box: PointBox,
     branch_indices: tuple[int, ...],
@@ -608,7 +599,7 @@ def _divergence_verdict(
     numerator's order by k, and then |R| grows like dist**(k - 2e) along
     some direction: |R| diverges.
     """
-    e = sum(reduced.den_exponents[i] for i in branch_indices)
+    e = sum(den_exponents[i] for i in branch_indices)
     if e == 0:
         return DivergencePoint(
             box, False, branch_indices,
@@ -642,31 +633,6 @@ def _merge_across_branches(
     return merged
 
 
-def _symmetric_pair_count(points: list[DivergencePoint]) -> int:
-    """Count unordered pairs {p, -p} among certified divergence points.
-
-    A point matches when its box overlaps the other's reflection; for two
-    exact points, whose boxes are the points themselves, that is q == -p.
-    """
-    used: set[int] = set()
-    count = 0
-    for i, p in enumerate(points):
-        if i in used or not p.numerator_nonzero:
-            continue
-        refl = p.box.reflected()
-        if p.box.is_exact and p.box.x.exact == 0 and p.box.y.exact == 0:
-            continue  # the origin is its own opposite, not a pair
-        for j in range(i + 1, len(points)):
-            if j in used or not points[j].numerator_nonzero:
-                continue
-            if points[j].box.overlaps(refl):
-                used.add(i)
-                used.add(j)
-                count += 1
-                break
-    return count
-
-
 # --- equilibria and the assertion criteria -------------------------------------
 
 
@@ -677,21 +643,21 @@ def verify_equilibrium(curv: CurvatureData, box: PointBox) -> EquilibriumCertifi
     The reduced denominator 2 * g11^e1 * g22^e2 is positive unless a factor
     with e > 0, a sum of squares, vanishes; else R has the numerator's sign.
     """
-    metric, reduced = curv.metric, curv.reduced
+    metric, reduced = curv.metric, curv.curvature
     factors = [sign_at(box, _Jets(g), (0,)) for g, e in
-               zip((metric.g11, metric.g22), reduced.den_exponents) if e]
+               zip((metric.g11, metric.g22), curv.den_exponents) if e]
     if 0 in factors:
         sign = NOT_CONTINUOUS_HERE
     elif None in factors:
         sign = SIGN_UNRESOLVED
     else:
-        sign = _SIGN_VERDICTS[sign_at(box, _Jets(reduced.function.numerator), (0,))]
+        sign = _SIGN_VERDICTS[sign_at(box, _Jets(reduced.numerator), (0,))]
     if not box.is_exact:
         return EquilibriumCertificate(box, sign)
     px, py = box.x.exact, box.y.exact
     return EquilibriumCertificate(
         box, sign, curv.system.P.eval_at(px, py), curv.system.Q.eval_at(px, py),
-        reduced.function.evaluate(px, py))
+        reduced.evaluate(px, py))
 
 
 _SIGN_VERDICTS = {1: POSITIVE_NEIGHBORHOOD, -1: NEGATIVE_NEIGHBORHOOD,
@@ -747,7 +713,6 @@ def assertion_report(
         signs.append((cert.box, cert.sign))
 
     b_count = locus.certified_divergence_count
-    pair_count = _symmetric_pair_count(list(locus.divergence_points))
     open_points = sum(1 for p in locus.divergence_points if p.uncertified)
     notes: list[str] = []
     if locus.unresolved:
@@ -780,7 +745,6 @@ def assertion_report(
     return AssertionReport(
         assertion_A=verdict_a,
         assertion_B_count=b_count,
-        symmetric_pairs=pair_count,
         equilibrium_signs=tuple(signs),
         notes=tuple(notes),
     )

@@ -66,7 +66,7 @@ def test_criterion_1_exact_origin_curvature_values():
     for key, value in expected.items():
         started = time.monotonic()
         data = scalar_curvature(catalogue[key].system)
-        outcome = data.reduced.function.evaluate(Fraction(0), Fraction(0))
+        outcome = data.curvature.evaluate(Fraction(0), Fraction(0))
         elapsed = time.monotonic() - started
         worst = max(worst, elapsed)
         ok = ok and outcome.kind == VALUE and outcome.value == value
@@ -182,7 +182,7 @@ def test_criterion_7_rationalization_validity():
     ok = True
     for key, entry in catalogue.items():
         data = scalar_curvature(entry.system)
-        reduced = data.reduced.function
+        reduced = data.curvature
         checked = 0
         while checked < 100:
             px, py = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)

@@ -36,7 +36,6 @@ def make_assertions(verdict: str, b_count: int) -> AssertionReport:
     return AssertionReport(
         assertion_A=verdict,
         assertion_B_count=b_count,
-        symmetric_pairs=0,
         equilibrium_signs=((PointBox(ZERO, ZERO), "positive_neighborhood"),),
     )
 
@@ -255,7 +254,7 @@ def test_report_dict_content(analyses):
     assert d["variables"] == ["x", "y"]
     assert d["degrees"] == [3, 3]
     curvature = d["curvature"]
-    assert set(curvature) == {"raw", "reduced", "reduced_denominator_exponents"}
+    assert set(curvature) == {"reduced", "reduced_denominator_exponents"}
     assert len(curvature["reduced_denominator_exponents"]) == 2
     assert d["singular_locus"]["certified_divergence_count"] == 0
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _strategies import (XY, exponent_pairs, nonzero_polys, points, polys,
                          rationals, unipolys)
 from cclab.polynomials import Poly2, UniPoly, format_poly2, format_unipoly
+from cclab.realroots import square_free_part, unipoly_gcd
 
 
 def P(terms):
@@ -308,14 +309,15 @@ def test_unipoly_evaluation_homomorphism(f, t):
 
 
 @given(unipolys(), unipolys())
-def test_unipoly_divmod_identity(f, g):
+def test_unipoly_divexact_identity(f, g):
     if g.is_zero():
         with pytest.raises(ZeroDivisionError):
-            f.divmod(g)
+            f.divexact(g)
         return
-    q, r = f.divmod(g)
-    assert f == q * g + r
-    assert r.degree < g.degree or r.is_zero()
+    assert (f * g).divexact(g) == f
+    if g.degree > 0:
+        with pytest.raises(ValueError):
+            (f * g + 1).divexact(g)
 
 
 @given(unipolys())
@@ -612,3 +614,118 @@ def test_equal_polynomials_have_identical_forms(p, q, r, c):
     assert form(Poly2(p.terms, XY)) == form(p)
     assert form((p * q).partial("x")) == form(p.partial("x") * q + p * q.partial("x"))
     assert form(p - p) == form(Poly2.zero(XY))
+
+
+# --- UniPoly's integer form against the Fraction loops it replaced -------------
+
+# UniPoly stores one rational content times a primitive tuple of ints too.
+# Its former Fraction-coefficient loops, on plain lists lowest degree first,
+# are the reference here; Euclid over the rationals is the gcd's.
+
+
+def uref_trim(coeffs):
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def uref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return uref_trim(out)
+
+
+def uref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return uref_trim(out)
+
+
+def uref_eval(a, t):
+    total = Fraction(0)
+    for c in reversed(a):
+        total = total * t + c
+    return total
+
+
+def uref_derivative(a):
+    return uref_trim([c * k for k, c in enumerate(a)][1:])
+
+
+def uref_divmod(a, b):
+    rem = list(a)
+    ddeg, lead = len(b) - 1, b[-1]
+    quot = [Fraction(0)] * max(len(rem) - ddeg, 0)
+    for k in range(len(rem) - 1, ddeg - 1, -1):
+        factor = rem[k] / lead
+        quot[k - ddeg] = factor
+        for i, c in enumerate(b):
+            rem[k - ddeg + i] -= factor * c
+    return uref_trim(quot), uref_trim(rem[:ddeg])
+
+
+def uref_gcd(a, b):
+    """Euclid over the rationals, scaled to primitive ints with positive lead."""
+    while b:
+        a, b = b, uref_divmod(a, b)[1]
+    if not a:
+        return []
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [Fraction(c // g) for c in ints]
+
+
+def uref_square_free_part(a):
+    g = uref_gcd(a, uref_derivative(a))
+    if len(g) <= 1:
+        return a
+    quot, rem = uref_divmod(a, g)
+    assert not rem
+    return quot
+
+
+def assert_uni_normal_form(p):
+    """content * ints with ints primitive and a positive leading entry."""
+    assert UniPoly(p.coeffs, p.var) == p
+    if not p.ints:
+        assert p.content == 0
+        return
+    assert p.content != 0
+    assert all(isinstance(c, int) for c in p.ints)
+    assert math.gcd(*p.ints) == 1
+    assert p.ints[-1] > 0
+
+
+# Small and huge coefficients, negated copies (negative content) and zero.
+any_unipolys = st.one_of(
+    unipolys(), unipolys().map(lambda p: -p),
+    st.lists(big_rationals, max_size=5).map(UniPoly), st.just(UniPoly.zero()))
+
+
+@given(any_unipolys, any_unipolys, st.one_of(big_rationals, rationals))
+def test_unipoly_matches_fraction_reference(f, g, t):
+    a, b = list(f.coeffs), list(g.coeffs)
+    assert_uni_normal_form(f)
+    for result, expected in (
+            (f + g, uref_add(a, b)),
+            (f - g, uref_add(a, [-c for c in b])),
+            (f * g, uref_mul(a, b)),
+            (f.derivative(), uref_derivative(a)),
+            (unipoly_gcd(f, g), uref_gcd(a, b)),
+            (square_free_part(f), uref_square_free_part(a))):
+        assert_uni_normal_form(result)
+        assert list(result.coeffs) == expected
+    assert f.eval_at(t) == uref_eval(a, t)
+    if b:
+        product = f * g
+        assert product.divexact(g) == f
+        assert list(product.divexact(g).coeffs) == uref_divmod(uref_mul(a, b), b)[0]

@@ -12,7 +12,6 @@ from cclab.realroots import (
     RootInterval,
     _chain_variations_at,
     _int_eval_sign,
-    _to_int_poly,
     count_real_roots,
     isolate_real_roots,
     positive_real_roots,
@@ -410,7 +409,7 @@ def _reference_isolate(p, region=(None, None)):
     sqf_poly = _reference_sqf(p, region)
     if sqf_poly.degree <= 0:
         return ()
-    sqf = _to_int_poly(sqf_poly)
+    sqf = sqf_poly.ints
     chain = sturm_chain(sqf_poly)
     bound = root_bound(sqf_poly)
     lo = region[0] if region[0] is not None else -bound
@@ -427,7 +426,7 @@ def _reference_isolate(p, region=(None, None)):
 def _reference_rational_root_in(sqf_poly, iv):
     if iv.exact is not None:
         return iv.exact
-    tight = _reference_refine(_to_int_poly(sqf_poly), iv, Fraction(1, 10**24))
+    tight = _reference_refine(sqf_poly.ints, iv, Fraction(1, 10**24))
     if tight.exact is not None:
         return tight.exact
     candidate = simplest_rational_between(tight.lo, tight.hi)
@@ -497,7 +496,7 @@ def test_refinement_equals_fraction_bisection(p, region, width):
     report = isolate_real_roots(p, region)
     reduced = _reference_sqf(p, region)
     for iv in report.intervals:
-        expected = _reference_refine(_to_int_poly(reduced), iv, width)
+        expected = _reference_refine(reduced.ints, iv, width)
         assert refine_root(report.context, iv, width) == expected
         assert (rational_root_in(report.context, iv)
                 == _reference_rational_root_in(reduced, iv))

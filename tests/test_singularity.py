@@ -36,7 +36,6 @@ from cclab.singularity import (
     _certify_half_exact,
     _merge_across_branches,
     _specialize,
-    _symmetric_pair_count,
     assertion_report,
     find_equilibria,
     real_solutions_2x2,
@@ -264,7 +263,7 @@ def _partials_of_order(poly: Poly2, k: int) -> list[Poly2]:
 
 
 def _jet_exponent(curv, dp) -> int:
-    return sum(curv.reduced.den_exponents[i] for i in dp.branch_indices)
+    return sum(curv.den_exponents[i] for i in dp.branch_indices)
 
 
 def test_certified_divergence_points_satisfy_the_defining_signs(loci, curvatures):
@@ -273,7 +272,7 @@ def test_certified_divergence_points_satisfy_the_defining_signs(loci, curvatures
     the summed den exponents of its branches; all evaluated exactly."""
     for key, report in loci.items():
         curv = curvatures[key]
-        reduced = curv.reduced.function
+        reduced = curv.curvature
         for dp in report.divergence_points:
             if not dp.box.is_exact:
                 continue
@@ -289,7 +288,7 @@ def test_certified_divergence_points_satisfy_the_defining_signs(loci, curvatures
 def _assert_jet_certificates(curv, report):
     """Each certified non-exact point has a partial of the reduced numerator
     of order k < 2e whose enclosure over its box excludes zero."""
-    numerator = curv.reduced.function.numerator
+    numerator = curv.curvature.numerator
     for dp in report.divergence_points:
         if not dp.numerator_nonzero or dp.box.is_exact:
             continue
@@ -346,13 +345,13 @@ def test_exact_point_with_vanishing_gradient_is_certified_at_order_two():
     curv = scalar_curvature(parse_system(
         "vars: x y\ndx = -y + x^2*y - 2*y^2\ndy = x - y^3 - 2*x^3\n"))
     report = singular_locus(curv)
-    numerator = curv.reduced.function.numerator
+    numerator = curv.curvature.numerator
     exact = [dp for dp in report.divergence_points if dp.box.is_exact]
     assert sorted(dp.box.x.exact for dp in exact) == [-1, 1]
     for dp in exact:
         px, py = dp.box.x.exact, dp.box.y.exact
         assert py == 0
-        assert curv.reduced.function.evaluate(px, py).kind == INDETERMINATE
+        assert curv.curvature.evaluate(px, py).kind == INDETERMINATE
         assert _jet_exponent(curv, dp) == 2
         for k in (0, 1):
             assert all(d.eval_at(px, py) == 0
@@ -431,17 +430,26 @@ def test_sign_at_reads_an_enclosure_of_zero_as_zero():
 
 
 # generic2-0 of the seeded generic workload: its denominator zero
-# (-64/9, -128/9) comes out of the Newton step as a one-point box that is
-# not marked exact, and the reduced numerator vanishes there
+# (-64/9, -128/9) comes out of the Newton step as a one-point box, and the
+# reduced numerator vanishes there
 GENERIC2_0 = ("-y + 1/128*x^2 - 1/64*x*y - 1/32*y^2",
               "x + 1/64*x^2 - 1/32*x*y + 1/128*y^2")
+
+
+def test_collapsed_newton_image_is_marked_exact():
+    """An image of one value is the only zero of the box, so it is exact."""
+    dx, dy = GENERIC2_0
+    curv = scalar_curvature(parse_system(f"vars: x y\ndx = {dx}\ndy = {dy}\n"))
+    exact = [(dp.box.x.exact, dp.box.y.exact)
+             for dp in singular_locus(curv).divergence_points if dp.box.is_exact]
+    assert (Fraction(-64, 9), Fraction(-128, 9)) in exact
 
 
 def test_zero_enclosure_does_not_end_the_divergence_search():
     dx, dy = GENERIC2_0
     curv = scalar_curvature(parse_system(f"vars: x y\ndx = {dx}\ndy = {dy}\n"))
     report = singular_locus(curv)
-    jets = _Jets(curv.reduced.function.numerator)
+    jets = _Jets(curv.curvature.numerator)
     point = next(dp for dp in report.divergence_points
                  if dp.box.intervals() == ((Fraction(-64, 9),) * 2,
                                            (Fraction(-128, 9),) * 2))
@@ -502,7 +510,7 @@ def test_branch_relabeling_does_not_change_the_count(curvatures):
         system=data.system,
         metric=data.metric,
         curvature=data.curvature,
-        reduced=data.reduced,
+        den_exponents=data.den_exponents,
         branches=(data.branches[1], data.branches[0]),
     )
     a = singular_locus(data)
@@ -520,26 +528,6 @@ def _exact_box(x, y):
 def _box(x_lo, x_hi, y_lo, y_hi):
     return PointBox(RootInterval(Fraction(x_lo), Fraction(x_hi)),
                     RootInterval(Fraction(y_lo), Fraction(y_hi)))
-
-
-def test_symmetric_pair_of_exact_points():
-    points = [DivergencePoint(_exact_box(1, 2), True, (0,)),
-              DivergencePoint(_exact_box(-1, -2), True, (1,))]
-    assert _symmetric_pair_count(points) == 1
-
-
-def test_symmetric_pair_of_overlapping_boxes():
-    third = Fraction(1, 3)
-    points = [DivergencePoint(_box(third, third + Fraction(1, 100),
-                                   -1, -1 + Fraction(1, 100)), True, (0,)),
-              DivergencePoint(_box(-third - Fraction(1, 50), -third,
-                                   1 - Fraction(1, 50), 1), True, (0,))]
-    assert _symmetric_pair_count(points) == 1
-
-
-def test_origin_is_not_a_symmetric_pair():
-    points = [DivergencePoint(_exact_box(0, 0), True, (0,))]
-    assert _symmetric_pair_count(points) == 0
 
 
 def test_merge_joins_one_exact_point_found_by_two_branches():
@@ -613,7 +601,6 @@ def test_assertion_reports(curvatures, loci):
     r = report("center")
     assert r.assertion_A == A_HOLDS
     assert r.assertion_B_count == 1
-    assert r.symmetric_pairs == 0
 
 
 def test_assertion_report_rejects_non_equilibria(curvatures, loci):
