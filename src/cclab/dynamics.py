@@ -25,7 +25,6 @@ from .polynomials import Poly2, UniPoly
 from .realroots import (
     RootInterval,
     positive_real_roots,
-    rational_root_in,
     root_multiplicity,
 )
 from .systems import PlanarSystem
@@ -544,13 +543,12 @@ def exact_radial_cycles(form: RadialForm) -> LimitCycleReport:
             stability = STABLE
         if mult > 1 and not note:
             note = f"root of multiplicity {mult}"
-        exact_s = rational_root_in(report.context, iv)
-        if exact_s is not None:
-            root = _exact_sqrt(exact_s)
+        if iv.exact is not None:
+            root = _exact_sqrt(iv.exact)
             if root is not None:
                 r_iv = RootInterval(root, root, exact=root)
             else:
-                lo, hi = _sqrt_bounds(exact_s)
+                lo, hi = _sqrt_bounds(iv.exact)
                 r_iv = RootInterval(lo, hi)
         else:
             lo = _sqrt_bounds(iv.lo)[0]

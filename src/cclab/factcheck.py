@@ -158,11 +158,11 @@ def _check_stated_eliminants(harness: _Harness):
         def run(stated=stated, position=position):
             if stated.quartic.is_zero():
                 return False, "stated eliminant is the zero polynomial"
-            roots = count_real_roots(stated.quartic, None, None)
+            roots = count_real_roots(stated.quartic)
             if roots != 0:
                 return False, "stated quartic has %d real root(s)" % roots
             own = resultant(stated.pair[0], stated.pair[1], stated.eliminated)
-            own_roots = count_real_roots(own, None, None)
+            own_roots = count_real_roots(own)
             if own_roots != 0:
                 return False, ("the build's own eliminant has %d real root(s)"
                                % own_roots)

@@ -9,10 +9,12 @@ polynomial instead of exponential.
 Isolation and refinement run in integers on one root context per
 polynomial (:class:`RootContext`): its square-free part, with any root at a
 rational region endpoint divided out, over the region [lo, hi] (the Cauchy
-bound stands in for an infinite end).  The region is mapped to t in [0, 1]
-once, by an integer Taylor shift of each Sturm polynomial, so that every
-point the search visits is a dyadic t = j/2^k and every sign is one integer
-Horner pass.  The search returns exactly the intervals of plain bisection
+bound stands in for an infinite end).  One remainder sequence serves both
+the square-free part and the Sturm chain: the chain of p ends in
+gcd(p, p'), and when that is constant the chain is the square-free part's.
+The region is mapped to t in [0, 1] once, by an integer Taylor shift of
+each Sturm polynomial, so that every point the search visits is a dyadic
+t = j/2^k and every sign is one integer Horner pass.  The search returns exactly the intervals of plain bisection
 on [lo, hi]: halve an interval holding several roots, keep one holding one
 root, and halve that until it is narrower than ``DEFAULT_WIDTH``, with a
 midpoint that is itself a root returned exactly.  Four things make it
@@ -33,6 +35,14 @@ cheaper than evaluating that tree point by point:
   that grid, or on one of its points, so the result is the same cell, or
   the same exact root, that halving returns.
 
+Isolation also decides, once, whether each root is rational.  With c the
+leading coefficient of the primitive square-free part, a rational root u/v
+in lowest terms has v | c (rational root theorem), so once c times the
+interval's width is below 1 the interval holds at most one candidate m/c,
+and one exact evaluation settles it.  A rational root is returned exactly,
+and an interval that is not exact holds an irrational root, so no later
+stage looks for rationals.
+
 Everything is exact; widths like 1e-9 are exact rationals, never floats.
 """
 
@@ -40,12 +50,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 from .polynomials import UniPoly, _horner, _trim
 
 DEFAULT_WIDTH = Fraction(1, 10**9)
-_PROBE_WIDTH = Fraction(1, 10**24)  # RootContext.pin's rational-root probe
 
 # --- integer coefficient lists (lowest degree first, no trailing zeros) -----
 
@@ -124,38 +133,15 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
 
 
-def _chain_variations_at(chain: list[list[int]], point: Fraction | None,
-                         positive_inf: bool = True) -> int:
-    if point is None:
-        signs = [_sign_at_infinity(q, positive_inf) for q in chain]
-    else:
-        signs = [_int_eval_sign(q, point) for q in chain]
-    return _variations(signs)
-
-
-def count_real_roots(
-    p: UniPoly,
-    lo: Fraction | None = None,
-    hi: Fraction | None = None,
-) -> int:
-    """Number of distinct real roots in (lo, hi]; None means -oo / +oo.
-
-    Endpoints must not be roots of p when finite (checked, ValueError).
-    """
+def count_real_roots(p: UniPoly) -> int:
+    """Number of distinct real roots of p."""
     if p.is_zero():
         raise ValueError("the zero polynomial has every point as a root")
     if p.degree == 0:
         return 0
     chain = sturm_chain(p)
-    if lo is not None and _int_eval_sign(chain[0], lo) == 0:
-        raise ValueError("lower endpoint is a root; nudge it first")
-    if hi is not None and _int_eval_sign(chain[0], hi) == 0:
-        raise ValueError("upper endpoint is a root; nudge it first")
-    va = (_chain_variations_at(chain, None, positive_inf=False)
-          if lo is None else _chain_variations_at(chain, lo))
-    vb = (_chain_variations_at(chain, None, positive_inf=True)
-          if hi is None else _chain_variations_at(chain, hi))
-    return va - vb
+    return (_variations([_sign_at_infinity(q, False) for q in chain])
+            - _variations([_sign_at_infinity(q, True) for q in chain]))
 
 
 # --- gcd, square-free part, Yun multiplicity decomposition ------------------
@@ -326,18 +312,23 @@ class RootContext:
     endpoint divided out, so its roots in the region are the polynomial's
     and none sits on an endpoint.  A point x = (num + scale * t) / den of
     the region is addressed by its t; ``mapped`` is sqf as a polynomial in
-    t (None when sqf is constant or the region is empty).  One context
-    serves one polynomial's isolation and every later refinement of its
-    intervals; :func:`isolate_real_roots` puts it on the report.
+    t (None when sqf is constant or the region is empty).  ``chain`` is
+    sqf's Sturm chain when the polynomial is sqf itself, else None
+    (isolation builds it).  One context serves one polynomial's isolation
+    and every later refinement of its intervals; :func:`isolate_real_roots`
+    puts it on the report.
     """
 
-    __slots__ = ("sqf", "num", "scale", "den", "mapped")
+    __slots__ = ("sqf", "chain", "num", "scale", "den", "mapped")
 
     def __init__(self, p: UniPoly,
                  region: tuple[Fraction | None, Fraction | None] = (None, None)):
         if p.is_zero():
             raise ValueError("cannot isolate roots of the zero polynomial")
-        sqf = square_free_part(p)
+        # the chain ends in gcd(p, p') up to a constant: when that is a
+        # constant, p is square-free and the chain is already sqf's
+        chain = sturm_chain(p)
+        sqf = p if len(chain[-1]) == 1 else p.divexact(UniPoly(chain[-1], p.var))
         # a rational endpoint that happens to be a root is excluded from the
         # open region; divide the corresponding linear factor out so Sturm
         # counts stay valid without nudging (which could skip a nearby root)
@@ -345,6 +336,7 @@ class RootContext:
             if endpoint is not None and sqf.eval_at(endpoint) == 0:
                 sqf = sqf.divexact(UniPoly([-endpoint, 1], sqf.var))
         self.sqf = sqf
+        self.chain = chain if sqf is p else None
         self.mapped = None
         if sqf.degree <= 0:
             return
@@ -376,10 +368,11 @@ class RootContext:
         return t.numerator, level
 
     def isolate(self) -> tuple[RootInterval, ...]:
-        """Every root in the region, isolated and refined to DEFAULT_WIDTH."""
+        """Every root in the region: a rational one exactly, any other
+        isolated and refined to DEFAULT_WIDTH."""
         if self.mapped is None:
             return ()
-        chain = sturm_chain(self.sqf)
+        chain = self.chain if self.chain is not None else sturm_chain(self.sqf)
         # a midpoint at or beyond this bound splits off a half with no root
         bound = _fujiwara_bound(chain[0])
         low = Fraction(-bound * self.den - self.num, self.scale)
@@ -403,7 +396,8 @@ class RootContext:
         while stack:
             a, b, k, count = stack.pop()
             if count == 1:
-                found.append(self._refine_cell(a, b, k, DEFAULT_WIDTH))
+                found.append(self._exact_if_rational(
+                    self._refine_cell(a, b, k, DEFAULT_WIDTH)))
             if count < 2:
                 continue
             m, deep = a + b, k + 1
@@ -448,15 +442,24 @@ class RootContext:
         k = max(k_lo, k_hi)
         return self._refine_cell(a << (k - k_lo), b << (k - k_hi), k, width)
 
-    def pin(self, iv: RootInterval) -> RootInterval:
-        """``iv`` refined to width 1e-24, or its root exactly when that is
-        the simplest rational in the refined interval."""
-        tight = self.refine(iv, _PROBE_WIDTH)
-        if tight.exact is None:
-            candidate = simplest_rational_between(tight.lo, tight.hi)
-            if self.sqf.eval_at(candidate) == 0:
-                return RootInterval(candidate, candidate, candidate)
-        return tight
+    def _exact_if_rational(self, iv: RootInterval) -> RootInterval:
+        """``iv``, or its root exactly when that root is rational.
+
+        With c > 0 the leading entry of ``sqf.ints``, a rational root u/v in
+        lowest terms has v | c (rational root theorem), so c * root is an
+        integer.  Once c * width < 1 the interval holds at most one point
+        m / c, and one exact evaluation there settles it.
+        """
+        if iv.exact is not None:
+            return iv
+        c = self.sqf.ints[-1]
+        tight = iv if c * iv.width < 1 else self.refine(iv, Fraction(1, 2 * c))
+        if tight.exact is not None:
+            return tight
+        x = Fraction(ceil(c * tight.lo), c)
+        if x <= tight.hi and _int_eval_sign(self.sqf.ints, x) == 0:
+            return RootInterval(x, x, exact=x)
+        return iv
 
     def _refine_cell(self, a: int, b: int, k: int,
                      width: Fraction) -> RootInterval:
@@ -524,9 +527,10 @@ class RootContext:
 class RealRootReport:
     """Distinct real roots of a polynomial over a region, isolated.
 
-    ``context`` refines the intervals further without recomputing the
-    square-free part (pass it to :func:`refine_root` or
-    :func:`rational_root_in` in place of the polynomial).
+    A rational root is exact and every other interval holds an irrational
+    root.  ``context`` refines the intervals further without recomputing
+    the square-free part (pass it to :func:`refine_root` in place of the
+    polynomial).
     """
 
     poly: UniPoly
@@ -546,9 +550,9 @@ def isolate_real_roots(
     """Isolate the distinct real roots of p inside an open region.
 
     Works on the square-free part, so multiple roots appear once; use
-    :func:`root_multiplicity` to recover multiplicities.  Each returned
-    interval has width below ``DEFAULT_WIDTH`` unless the root was pinned
-    exactly.
+    :func:`root_multiplicity` to recover multiplicities.  Each rational
+    root is returned exactly; every other interval has width below
+    ``DEFAULT_WIDTH``.
     """
     context = RootContext(p, region)
     return RealRootReport(p, region, context.isolate(), context)
@@ -557,11 +561,6 @@ def isolate_real_roots(
 def positive_real_roots(p: UniPoly) -> RealRootReport:
     """Distinct real roots in the open interval (0, +oo)."""
     return isolate_real_roots(p, (Fraction(0), None))
-
-
-def _context_for(p: UniPoly | RootContext, iv: RootInterval) -> RootContext:
-    """The given context, or a new one whose region is the interval itself."""
-    return p if isinstance(p, RootContext) else RootContext(p, (iv.lo, iv.hi))
 
 
 def refine_root(p: UniPoly | RootContext, iv: RootInterval,
@@ -574,53 +573,5 @@ def refine_root(p: UniPoly | RootContext, iv: RootInterval,
     """
     if iv.exact is not None:
         return iv
-    return _context_for(p, iv).refine(iv, width)
-
-
-# --- simplest rational in an interval ---------------------------------------
-
-
-def simplest_rational_between(a: Fraction, b: Fraction) -> Fraction:
-    """The rational with the smallest denominator (then numerator) in [a, b].
-
-    Expands both endpoints as continued fractions until they part, on
-    integer numerator/denominator pairs: while n < a <= b < n + 1 with
-    n = floor(a), the answer is n + 1/t for the simplest t in
-    [1/(b - n), 1/(a - n)].  The convergent matrix ((p, q), (r, s)) holds
-    the composed maps t -> n + 1/t, and the answer is (p*t + q)/(r*t + s)
-    for the integer t that ends the expansion.
-    """
-    if a > b:
-        raise ValueError("empty interval")
-    if a <= 0 <= b:
-        return Fraction(0)
-    sign = 1
-    if b < 0:
-        sign, a, b = -1, -b, -a
-    # now 0 < a <= b
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    p, q, r, s = 1, 0, 0, 1
-    while True:
-        n, rem = divmod(an, ad)
-        if rem == 0:
-            t = n
-            break
-        if (n + 1) * bd <= bn:
-            t = n + 1
-            break
-        p, q, r, s = p * n + q, p, r * n + s, r
-        an, ad, bn, bd = bd, bn - n * bd, ad, rem
-    return Fraction(sign * (p * t + q), r * t + s)
-
-
-def rational_root_in(p: UniPoly | RootContext, iv: RootInterval) -> Fraction | None:
-    """Detect whether the root isolated by ``iv`` is a (small) rational.
-
-    Refines the interval to width 1e-24, then tests the simplest rational
-    inside it by exact evaluation.  Returns the rational root, or None when
-    the root is irrational or has a denominator too large to surface at
-    this width.  ``p`` may be a root context, as for :func:`refine_root`.
-    """
-    if iv.exact is not None:
-        return iv.exact
-    return _context_for(p, iv).pin(iv).exact
+    context = p if isinstance(p, RootContext) else RootContext(p, (iv.lo, iv.hi))
+    return context.refine(iv, width)

@@ -9,7 +9,9 @@ This module answers three questions exactly:
 The real-solution engine works in two stages.  Elimination: the resultant in
 each variable direction projects every common real zero onto a real root of a
 univariate eliminant (the resultant lies in the ideal generated by the pair,
-so the projection cannot miss a zero).  Certification: each candidate cell of
+so the projection cannot miss a zero).  Isolation returns every rational
+eliminant root exactly (rational root theorem), so a coordinate whose
+interval is not exact is irrational.  Certification: each candidate cell of
 the root grid is then either rejected or certified.  Rational candidates are
 settled by exact evaluation; cells with one rational coordinate reduce to a
 univariate gcd; fully irrational cells go through an exact interval Newton
@@ -31,7 +33,7 @@ reported as unresolved rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvature import CurvatureData, PointValue
@@ -44,7 +46,6 @@ from .realroots import (
     count_real_roots,
     isolate_real_roots,
     refine_root,
-    simplest_rational_between,
     unipoly_gcd,
 )
 from .systems import PlanarSystem
@@ -254,12 +255,12 @@ def _certify_half_exact(
     """Certify a cell with one rational coordinate via a univariate gcd.
 
     Returns an interval for the free coordinate when the pair has a common
-    zero there, else None: the exact root when the gcd's root is a rational
-    the probe finds, otherwise the probe's interval refined to width 1e-30.
-    Exact: a common zero on the line exists iff the gcd of the two
-    specializations vanishes, and the gcd's roots are eliminant roots, so
-    the isolating interval holds at most one; a sign change across it
-    decides whether it does.
+    zero there, else None: ``iv`` itself when it is exact, otherwise the
+    gcd's root refined to width 1e-30.  Exact: a common zero on the line
+    exists iff the gcd of the two specializations vanishes, and the gcd's
+    roots are eliminant roots, so the isolating interval holds at most one;
+    a sign change across it decides whether it does.  An inexact ``iv``
+    holds an irrational eliminant root, so refinement never ends exact.
     """
     fs = _specialize(f, exact_var, exact_value)
     gs = _specialize(g, exact_var, exact_value)
@@ -280,9 +281,8 @@ def _certify_half_exact(
     t_poly = context.mapped  # the gcd over iv, as a polynomial in t in [0, 1]
     if t_poly is None or (t_poly[0] > 0) == (sum(t_poly) > 0):
         return None
-    # the gcd pins the coordinate: exactly when its root is a rational the
-    # probe surfaces, else to a sharp box for the sign tests downstream
-    return context.refine(context.pin(iv), Fraction(1, 10**30))
+    # a sharp box for the sign tests downstream
+    return context.refine(iv, Fraction(1, 10**30))
 
 
 class _LineOfSolutions(Exception):
@@ -300,7 +300,9 @@ def _interval_newton_step(
     verdict "certified": the Newton image lies strictly inside the box, which
     proves a unique zero exists in it.  "rejected": image and box are
     disjoint, no zero.  "unknown": neither, caller should shrink and retry.
-    The returned intervals are the (intersected) refinement when available.
+    The returned intervals are the (intersected) refinement when available;
+    a certified image is rounded outward to ``eval_box``'s dyadic grid,
+    which every later enclosure rounds to anyway, and cut to the box.
     """
     for poly in (f, g):
         lo, hi = poly.eval_box(ix, iy)
@@ -322,7 +324,8 @@ def _interval_newton_step(
     if cut_x is None or cut_y is None:
         return ("rejected", ix, iy)
     if _istrictly_inside(nx, ix) and _istrictly_inside(ny, iy):
-        return ("certified", cut_x, cut_y)
+        return ("certified", _iintersect(_dyadic_outward(nx), ix),
+                _iintersect(_dyadic_outward(ny), iy))
     return ("unknown", cut_x, cut_y)
 
 
@@ -442,39 +445,35 @@ def _certify_cell(
 ) -> tuple[str, PointBox] | None:
     """Settle one candidate cell: ("point", box), ("unresolved", box), or None.
 
-    A cell with a rational coordinate is settled exactly.  Otherwise an
-    inconclusive interval Newton step refines both coordinates, which may
-    collapse one to a rational, and the cell is retried, at most five times.
+    A cell with a rational coordinate is settled exactly.  Both coordinates
+    of any other cell are irrational, since isolation returns every rational
+    root exactly, and refining them never makes them exact: an inconclusive
+    interval Newton step refines both, and the cell is retried, at most five
+    times.
     """
     a, b = f.varnames
+    if ivx.exact is not None and ivy.exact is not None:
+        if _certify_exact(f, g, ivx.exact, ivy.exact):
+            return ("point", PointBox(ivx, ivy))
+        return None
+    if ivx.exact is not None:
+        refined = _certify_half_exact(f, g, a, ivx.exact, ivy)
+        return None if refined is None else ("point", PointBox(ivx, refined))
+    if ivy.exact is not None:
+        refined = _certify_half_exact(f, g, b, ivy.exact, ivx)
+        return None if refined is None else ("point", PointBox(refined, ivy))
     shrink_width = DEFAULT_WIDTH
-    attempts = 0
-    while True:
-        if ivx.exact is not None and ivy.exact is not None:
-            if _certify_exact(f, g, ivx.exact, ivy.exact):
-                return ("point", PointBox(ivx, ivy))
-            return None
-        if ivx.exact is not None:
-            refined = _certify_half_exact(f, g, a, ivx.exact, ivy)
-            return None if refined is None else ("point", PointBox(ivx, refined))
-        if ivy.exact is not None:
-            refined = _certify_half_exact(f, g, b, ivy.exact, ivx)
-            return None if refined is None else ("point", PointBox(refined, ivy))
-        if attempts == 5:
-            return ("unresolved", PointBox(ivx, ivy))
-        attempts += 1
+    for _ in range(5):
         verdict, nx, ny = _interval_newton_step(
             f, g, partials, (ivx.lo, ivx.hi), (ivy.lo, ivy.hi))
         if verdict == "rejected":
             return None
         if verdict == "certified":
-            # the box holds exactly one zero, so an image coordinate that
-            # collapsed to one value is that zero's coordinate, exactly
-            return ("point", PointBox(*(RootInterval(lo, hi, lo if lo == hi else None)
-                                        for lo, hi in (nx, ny))))
+            return ("point", PointBox(RootInterval(*nx), RootInterval(*ny)))
         shrink_width = shrink_width * shrink_width
         ivx = refine_root(context_a, ivx, shrink_width)
         ivy = refine_root(context_b, ivy, shrink_width)
+    return ("unresolved", PointBox(ivx, ivy))
 
 
 # --- singular locus of |R| -----------------------------------------------------
@@ -667,8 +666,8 @@ _SIGN_VERDICTS = {1: POSITIVE_NEIGHBORHOOD, -1: NEGATIVE_NEIGHBORHOOD,
 def find_equilibria(system: PlanarSystem) -> BranchSolutions:
     """Certified equilibria (common zeros of the two components).
 
-    A box whose simplest rational point is an equilibrium is replaced by that
-    exact point: the box isolates exactly one zero, so a hit is that zero.
+    An equilibrium with both coordinates rational is exact, since isolation
+    returns every rational eliminant root exactly; any other is a box.
     Raises ValueError when the equilibrium set is not zero-dimensional,
     since none of the downstream criteria are meaningful then.
     """
@@ -676,20 +675,7 @@ def find_equilibria(system: PlanarSystem) -> BranchSolutions:
     if result.status == DEGENERATE_BRANCH:
         raise ValueError(
             "equilibrium set is not zero-dimensional: " + "; ".join(result.notes))
-    points = sorted((_pinned(system, box) for box in result.points),
-                    key=lambda pb: (pb.x.lo, pb.y.lo))
-    return replace(result, points=tuple(points))
-
-
-def _pinned(system: PlanarSystem, box: PointBox) -> PointBox:
-    """The exact equilibrium at the box's simplest rational point, if any."""
-    if box.is_exact:
-        return box
-    px = simplest_rational_between(box.x.lo, box.x.hi)
-    py = simplest_rational_between(box.y.lo, box.y.hi)
-    if not system.is_equilibrium(px, py):
-        return box
-    return PointBox(RootInterval(px, px, px), RootInterval(py, py, py))
+    return result
 
 
 def assertion_report(

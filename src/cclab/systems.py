@@ -26,9 +26,6 @@ class PlanarSystem:
     def degree(self) -> int:
         return max(self.P.total_degree, self.Q.total_degree)
 
-    def is_equilibrium(self, px: Rat, py: Rat) -> bool:
-        return self.P.eval_at(px, py) == 0 and self.Q.eval_at(px, py) == 0
-
 
 def transform_system(
     system: PlanarSystem,

@@ -1,7 +1,7 @@
 """Sturm counting, isolation, and multiplicity against known factorizations."""
 
-import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,16 +10,14 @@ from cclab.polynomials import UniPoly
 from cclab.realroots import (
     DEFAULT_WIDTH,
     RootInterval,
-    _chain_variations_at,
     _int_eval_sign,
+    _variations,
     count_real_roots,
     isolate_real_roots,
     positive_real_roots,
-    rational_root_in,
     refine_root,
     root_bound,
     root_multiplicity,
-    simplest_rational_between,
     square_free_part,
     sturm_chain,
     unipoly_gcd,
@@ -70,20 +68,6 @@ def test_count_matches_known_factorization(roots, quads):
     assert count_real_roots(p) == len(roots)
 
 
-@given(distinct_roots, st.lists(rootless_quadratics, max_size=2))
-def test_count_in_subinterval(roots, quads):
-    p = build(roots, quads)
-    if p.degree == 0:
-        return
-    lo, hi = Fraction(-3), Fraction(2)
-    if any(r == lo or r == hi for r in roots):
-        with pytest.raises(ValueError):
-            count_real_roots(p, lo, hi)
-        return
-    expected = sum(1 for r in roots if lo < r < hi)
-    assert count_real_roots(p, lo, hi) == expected
-
-
 @given(distinct_roots)
 def test_multiple_roots_counted_once(roots):
     p = build(roots, [])
@@ -94,9 +78,6 @@ def test_multiple_roots_counted_once(roots):
 
 
 def test_count_rejects_root_endpoint():
-    p = linear(Fraction(2))
-    with pytest.raises(ValueError):
-        count_real_roots(p, Fraction(2), Fraction(3))
     with pytest.raises(ValueError):
         count_real_roots(UniPoly.zero())
 
@@ -175,8 +156,7 @@ def test_positive_real_roots_excludes_zero_and_negatives():
     report = positive_real_roots(p)
     assert report.count == 1
     iv = report.intervals[0]
-    assert iv.lo <= Fraction(5, 3) <= iv.hi
-    assert rational_root_in(p, iv) == Fraction(5, 3)
+    assert iv.exact == Fraction(5, 3)
 
 
 def test_refinement_reaches_requested_width():
@@ -192,13 +172,23 @@ def test_rational_roots_are_pinned_exactly():
     p = linear(Fraction(3, 7)) * UniPoly([1, 0, 1])
     report = isolate_real_roots(p)
     assert report.count == 1
-    assert rational_root_in(p, report.intervals[0]) == Fraction(3, 7)
+    assert report.intervals[0].exact == Fraction(3, 7)
 
 
 def test_irrational_root_not_claimed_rational():
     p = UniPoly([-2, 0, 1])
     report = isolate_real_roots(p, (Fraction(0), None))
-    assert rational_root_in(p, report.intervals[0]) is None
+    assert report.intervals[0].exact is None
+
+
+def test_rational_root_with_large_denominator_is_exact():
+    """The leading coefficient 10^13 exceeds 1 / DEFAULT_WIDTH, so the
+    interval of 1/10^13 is refined before its one candidate is tested."""
+    p = UniPoly([-1, 10 ** 13]) * UniPoly([-2, 0, 1])
+    lo, root, hi = isolate_real_roots(p).intervals
+    assert root.exact == Fraction(1, 10 ** 13)
+    assert lo.exact is None and lo.lo ** 2 > 2 > lo.hi ** 2
+    assert hi.exact is None and hi.lo ** 2 < 2 < hi.hi ** 2
 
 
 @given(distinct_roots)
@@ -251,102 +241,16 @@ def test_sturm_chain_starts_with_poly_and_derivative():
     assert len(chain[-1]) >= 1
 
 
-# --- simplest rational in an interval ----------------------------------------------
-
-
-def test_simplest_rational_goldens():
-    assert simplest_rational_between(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 2)
-    assert simplest_rational_between(Fraction(2, 7), Fraction(2, 5)) == Fraction(1, 3)
-    assert simplest_rational_between(Fraction(-1), Fraction(1)) == 0
-    assert simplest_rational_between(Fraction(5, 2), Fraction(7, 2)) == 3
-    assert simplest_rational_between(Fraction(-7, 2), Fraction(-5, 2)) == -3
-
-
-@given(st.fractions(max_denominator=40), st.fractions(max_denominator=40))
-def test_simplest_rational_is_inside_and_minimal(a, b):
-    lo, hi = min(a, b), max(a, b)
-    best = simplest_rational_between(lo, hi)
-    assert lo <= best <= hi
-    for den in range(1, best.denominator):
-        import math
-        first = math.ceil(lo * den)
-        assert Fraction(first, den) > hi or Fraction(first, den) < lo
-
-
-# The recursive Fraction version the convergent loop replaced, kept as the
-# reference.
-
-
-def _reference_simplest_rational_between(a, b):
-    if a > b:
-        raise ValueError("empty interval")
-    if a <= 0 <= b:
-        return Fraction(0)
-    if b < 0:
-        return -_reference_simplest_rational_between(-b, -a)
-    n, rem = divmod(a.numerator, a.denominator)
-    if rem == 0:
-        return Fraction(n)
-    if n + 1 <= b:
-        return Fraction(n + 1)
-    inner = _reference_simplest_rational_between(1 / (b - n), 1 / (a - n))
-    return n + 1 / inner
-
-
-@st.composite
-def _simplest_intervals(draw):
-    """Sorted endpoint pairs: small or 1,000-bit denominators, either sign,
-    integer ends, equal ends, and pairs that straddle zero."""
-    den = st.one_of(st.integers(1, 50), st.integers(2 ** 999, 2 ** 1000))
-    d1, d2 = draw(den), draw(den)
-    a = Fraction(draw(st.integers(-20 * d1, 20 * d1)), d1)
-    shape = draw(st.sampled_from(("free", "equal", "integer", "narrow")))
-    if shape == "equal":
-        b = a
-    elif shape == "integer":
-        a = Fraction(draw(st.integers(-20, 20)))
-        b = a + draw(st.integers(0, 3))
-    elif shape == "narrow":
-        # a sliver around a, wide enough to hold several convergents
-        b = a + Fraction(draw(st.integers(1, 5)), d2)
-    else:
-        b = Fraction(draw(st.integers(-20 * d2, 20 * d2)), d2)
-    return min(a, b), max(a, b)
-
-
-@given(_simplest_intervals())
-def test_simplest_rational_matches_recursive_reference(iv):
-    lo, hi = iv
-    best = simplest_rational_between(lo, hi)
-    # a 1,000-bit endpoint can take the reference several hundred levels deep
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 5000))
-    try:
-        assert best == _reference_simplest_rational_between(lo, hi)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert isinstance(best, Fraction)
-
-
-def test_simplest_rational_reference_cases():
-    cases = [(Fraction(-1, 3), Fraction(1, 7)),              # straddles 0
-             (Fraction(-22, 7), Fraction(-3)),                # negative
-             (Fraction(-355, 113), Fraction(-333, 106)),
-             (Fraction(5, 3), Fraction(5, 3)),                # a == b
-             (Fraction(4), Fraction(4)), (Fraction(2), Fraction(3)),
-             (Fraction(3 ** 630 + 1, 3 ** 630), Fraction(3 ** 630 + 2, 3 ** 630))]
-    for lo, hi in cases:
-        assert simplest_rational_between(lo, hi) == \
-            _reference_simplest_rational_between(lo, hi)
-    with pytest.raises(ValueError):
-        simplest_rational_between(Fraction(1), Fraction(0))
-
-
 # --- the integer kernel against the Fraction bisection it replaced -------------
 
 # The Fraction isolation and refinement that the integer root context
 # replaced, kept as the reference: plain bisection on rational endpoints,
-# with the chain's sign variations recomputed at every node.
+# with the chain's sign variations recomputed at every node.  Its intervals
+# are then made exact at the rational roots the caller names.
+
+
+def _reference_variations(chain, point):
+    return _variations([_int_eval_sign(q, point) for q in chain])
 
 
 def _reference_sqf(p: UniPoly, region) -> list[int]:
@@ -371,19 +275,19 @@ def _reference_bisect_region(chain, sqf, lo, hi, count, found):
         while True:
             if (_int_eval_sign(sqf, mid - delta) != 0
                     and _int_eval_sign(sqf, mid + delta) != 0):
-                inner = (_chain_variations_at(chain, mid - delta)
-                         - _chain_variations_at(chain, mid + delta))
+                inner = (_reference_variations(chain, mid - delta)
+                         - _reference_variations(chain, mid + delta))
                 if inner == 1:
                     break
             delta /= 2
-        left_count = (_chain_variations_at(chain, lo)
-                      - _chain_variations_at(chain, mid - delta))
-        right_count = (_chain_variations_at(chain, mid + delta)
-                       - _chain_variations_at(chain, hi))
+        left_count = (_reference_variations(chain, lo)
+                      - _reference_variations(chain, mid - delta))
+        right_count = (_reference_variations(chain, mid + delta)
+                       - _reference_variations(chain, hi))
         _reference_bisect_region(chain, sqf, lo, mid - delta, left_count, found)
         _reference_bisect_region(chain, sqf, mid + delta, hi, right_count, found)
         return
-    left_count = _chain_variations_at(chain, lo) - _chain_variations_at(chain, mid)
+    left_count = _reference_variations(chain, lo) - _reference_variations(chain, mid)
     _reference_bisect_region(chain, sqf, lo, mid, left_count, found)
     _reference_bisect_region(chain, sqf, mid, hi, count - left_count, found)
 
@@ -405,7 +309,9 @@ def _reference_refine(sqf, iv, width):
     return RootInterval(lo, hi)
 
 
-def _reference_isolate(p, region=(None, None)):
+def _reference_isolate(p, rationals, region=(None, None)):
+    """Bisection's intervals, with the one around each root in
+    ``rationals`` (every rational root of p) replaced by that root."""
     sqf_poly = _reference_sqf(p, region)
     if sqf_poly.degree <= 0:
         return ()
@@ -416,21 +322,20 @@ def _reference_isolate(p, region=(None, None)):
     hi = region[1] if region[1] is not None else bound
     if lo >= hi:
         return ()
-    total = _chain_variations_at(chain, lo) - _chain_variations_at(chain, hi)
+    total = _reference_variations(chain, lo) - _reference_variations(chain, hi)
     found = []
     _reference_bisect_region(chain, sqf, lo, hi, total, found)
     refined = [_reference_refine(sqf, iv, DEFAULT_WIDTH) for iv in found]
+    # no interval ends on a root, so one holding a rational root isolates it
+    refined = [next((RootInterval(r, r, exact=r) for r in rationals
+                     if iv.exact is None and iv.lo <= r <= iv.hi), iv)
+               for iv in refined]
     return tuple(sorted(refined, key=lambda iv: (iv.lo, iv.hi)))
 
 
-def _reference_rational_root_in(sqf_poly, iv):
-    if iv.exact is not None:
-        return iv.exact
-    tight = _reference_refine(sqf_poly.ints, iv, Fraction(1, 10**24))
-    if tight.exact is not None:
-        return tight.exact
-    candidate = simplest_rational_between(tight.lo, tight.hi)
-    return candidate if sqf_poly.eval_at(candidate) == 0 else None
+def _rational_sqrt(c: Fraction) -> Fraction | None:
+    n, d = isqrt(c.numerator), isqrt(c.denominator)
+    return Fraction(n, d) if n * n == c.numerator and d * d == c.denominator else None
 
 
 # Roots on the dyadic grid of the regions below (0 is the first midpoint
@@ -454,18 +359,23 @@ def _root_sets(draw):
 
 @st.composite
 def _oracle_polys(draw):
-    p = build(draw(_root_sets()), [])
+    """A polynomial and its rational roots: the planted ones, and the
+    square roots of each quadratic factor's c that is a rational square."""
+    rationals = draw(_root_sets())
+    p = build(rationals, [])
     for c in draw(st.lists(st.fractions(min_value=Fraction(1, 8),
                                         max_value=Fraction(9),
                                         max_denominator=10 ** 6),
                            max_size=2)):
         p = p * UniPoly([-c, 0, 1])  # roots +- sqrt(c)
+        if (root := _rational_sqrt(c)) is not None:
+            rationals = rationals + [root, -root]
     if draw(st.booleans()):
         p = p * p
     scale = draw(st.fractions(min_value=Fraction(1, 10 ** 6),
                               max_value=Fraction(10 ** 6),
                               max_denominator=10 ** 9).filter(bool))
-    return p.scale(scale)
+    return p.scale(scale), rationals
 
 
 _regions = st.one_of(
@@ -479,18 +389,20 @@ _regions = st.one_of(
 
 
 @given(_oracle_polys(), _regions)
-def test_isolation_equals_fraction_bisection(p, region):
+def test_isolation_equals_fraction_bisection(oracle, region):
+    p, rationals = oracle
     if p.degree <= 0:
         return
     report = isolate_real_roots(p, region)
-    assert report.intervals == _reference_isolate(p, region)
+    assert report.intervals == _reference_isolate(p, rationals, region)
     if region == (Fraction(0), None):
         assert positive_real_roots(p).intervals == report.intervals
 
 
 @given(_oracle_polys(), _regions, st.sampled_from([DEFAULT_WIDTH,
                                                    Fraction(1, 10 ** 30)]))
-def test_refinement_equals_fraction_bisection(p, region, width):
+def test_refinement_equals_fraction_bisection(oracle, region, width):
+    p, _ = oracle
     if p.degree <= 0:
         return
     report = isolate_real_roots(p, region)
@@ -498,22 +410,21 @@ def test_refinement_equals_fraction_bisection(p, region, width):
     for iv in report.intervals:
         expected = _reference_refine(reduced.ints, iv, width)
         assert refine_root(report.context, iv, width) == expected
-        assert (rational_root_in(report.context, iv)
-                == _reference_rational_root_in(reduced, iv))
         if region == (None, None):
             # without a region no interval ends on a root of p
             assert refine_root(p, iv, width) == expected
-            assert (rational_root_in(p, iv)
-                    == _reference_rational_root_in(square_free_part(p), iv))
 
 
 def test_midpoint_roots_take_the_halving_loops_delta():
     """0 is the first midpoint of a symmetric bound and 1/2 one of [-1, 1]'s;
     the nearest other root decides how far the loop halves delta."""
     for near in (Fraction(1, 3), Fraction(1, 10 ** 6), Fraction(1, 10 ** 11)):
+        rationals = [Fraction(0), near, Fraction(-5, 7)]
         p = T * linear(near) * linear(Fraction(-5, 7)) * UniPoly([-2, 0, 1])
-        assert isolate_real_roots(p).intervals == _reference_isolate(p)
-        q = linear(Fraction(1, 2)) * linear(Fraction(1, 2) + near) * linear(-near)
+        assert (isolate_real_roots(p).intervals
+                == _reference_isolate(p, rationals))
+        rationals = [Fraction(1, 2), Fraction(1, 2) + near, -near]
+        q = linear(rationals[0]) * linear(rationals[1]) * linear(rationals[2])
         region = (Fraction(-1), Fraction(1))
         assert (isolate_real_roots(q, region).intervals
-                == _reference_isolate(q, region))
+                == _reference_isolate(q, rationals, region))

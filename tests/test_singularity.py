@@ -164,6 +164,18 @@ def test_tangential_rational_contact_is_pinned():
     assert box.is_exact and box.x.exact == 0 and box.y.exact == 0
 
 
+def test_tangential_branch_pair_has_no_unresolved_cell():
+    """generic4-127's branch pair meets tangentially at (16, -32), where
+    det J = 0, so interval Newton cannot certify that cell; isolation
+    returns both of its coordinates exactly instead."""
+    system = parse_system("vars: x y\ndx = -3/32768*x^2*y - 3/16384*x^3\n"
+                          "dy = 1 + 3/64*y + 1/8192*x^3\n")
+    result = real_solutions_2x2(system.P, system.Q)
+    assert result.status == POINTS and not result.unresolved
+    assert [(box.x.exact, box.y.exact) for box in result.points] == [
+        (-32, 64), (0, Fraction(-64, 3)), (16, -32)]
+
+
 # --- specialization against the UniPoly loop it replaced ----------------------
 
 
@@ -363,13 +375,15 @@ def test_exact_point_with_vanishing_gradient_is_certified_at_order_two():
 
 
 def test_half_exact_cell_pins_a_rational_root():
-    """On the line x = 1 the gcd's root is pinned exactly when it is
-    rational, and refined to a 1e-30 box when it is not."""
+    """On the line x = 1 an exact y is kept when the gcd vanishes there,
+    and an inexact one, which isolation leaves only around an irrational
+    root, is refined to a 1e-30 box."""
     line = P({(1, 0): 1, (0, 0): -1})                    # x - 1
-    pinned = _certify_half_exact(line, P({(0, 1): 1, (0, 0): 4}), "x",
-                                 Fraction(1), RootInterval(Fraction(-5),
-                                                           Fraction(-3)))
-    assert pinned == RootInterval(Fraction(-4), Fraction(-4), Fraction(-4))
+    pinned = RootInterval(Fraction(-4), Fraction(-4), Fraction(-4))
+    assert _certify_half_exact(line, P({(0, 1): 1, (0, 0): 4}), "x",
+                               Fraction(1), pinned) == pinned
+    assert _certify_half_exact(line, P({(0, 1): 1, (0, 0): 3}), "x",
+                               Fraction(1), pinned) is None
     boxed = _certify_half_exact(line, P({(0, 2): 1, (0, 0): -2}), "x",
                                 Fraction(1), RootInterval(Fraction(1),
                                                           Fraction(2)))
@@ -430,14 +444,14 @@ def test_sign_at_reads_an_enclosure_of_zero_as_zero():
 
 
 # generic2-0 of the seeded generic workload: its denominator zero
-# (-64/9, -128/9) comes out of the Newton step as a one-point box, and the
-# reduced numerator vanishes there
+# (-64/9, -128/9) is rational, and the reduced numerator vanishes there
 GENERIC2_0 = ("-y + 1/128*x^2 - 1/64*x*y - 1/32*y^2",
               "x + 1/64*x^2 - 1/32*x*y + 1/128*y^2")
 
 
 def test_collapsed_newton_image_is_marked_exact():
-    """An image of one value is the only zero of the box, so it is exact."""
+    """The rational zero that an interval Newton step would enclose in a
+    one-point box is exact from isolation, before any Newton step."""
     dx, dy = GENERIC2_0
     curv = scalar_curvature(parse_system(f"vars: x y\ndx = {dx}\ndy = {dy}\n"))
     exact = [(dp.box.x.exact, dp.box.y.exact)
@@ -622,24 +636,24 @@ def test_two_cycle_criteria_regression(curvatures, loci, analyses):
 @pytest.mark.parametrize("dx, dy", [
     # the generic cubic: every cell is settled without refinement
     ("-y + x^3 - 2*x*y^2 + x^2/2", "x + 3*x^2*y - y^3/4 + x*y"),
-    # its irrational cell needs five rounds of refinement of both
-    # coordinates before it is left unresolved
+    # generic4-127's branch pair: both eliminants have a double root, so
+    # each context divides gcd(p, p') out and builds the quotient's chain
     ("-3/32768*x^2*y - 3/16384*x^3", "1 + 3/64*y + 1/8192*x^3"),
 ])
 def test_one_square_free_part_per_eliminant(monkeypatch, dx, dy):
-    """Isolation builds one root context per eliminant, and the cell
-    certification refines through it instead of recomputing the
-    square-free part."""
+    """Isolation builds one root context per eliminant, whose one Sturm
+    chain of the eliminant also gives its square-free part, and the cell
+    certification refines through it instead of starting again."""
     from cclab import realroots
     system = parse_system(f"vars: x y\ndx = {dx}\ndy = {dy}\n")
     calls = []
-    square_free_part = realroots.square_free_part
+    sturm_chain = realroots.sturm_chain
 
     def counted(p):
         calls.append(p)
-        return square_free_part(p)
+        return sturm_chain(p)
 
-    monkeypatch.setattr(realroots, "square_free_part", counted)
+    monkeypatch.setattr(realroots, "sturm_chain", counted)
     result = real_solutions_2x2(system.P, system.Q)
     assert result.status == POINTS and result.points
     for eliminant in (result.eliminant_x, result.eliminant_y):
