@@ -20,7 +20,6 @@ from .curvature import (
     PointValue,
     RationalFunction,
     metric_components,
-    numeric_curvature_probe,
     scalar_curvature,
 )
 from .dynamics import (
@@ -89,7 +88,6 @@ __all__ = [
     "load_references",
     "log_bound_crossover",
     "metric_components",
-    "numeric_curvature_probe",
     "parse_expression",
     "parse_rational",
     "parse_system",

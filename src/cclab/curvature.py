@@ -22,7 +22,6 @@ exact and total.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,54 +191,3 @@ def _cancel_metric_factors(numerator: Poly2, g11: Poly2,
     den = Poly2.constant(2, numerator.varnames)
     den = den * g11 ** exponents[0] * g22 ** exponents[1]
     return RationalFunction(num, den), (exponents[0], exponents[1])
-
-
-# Central-difference step of numeric_curvature_probe.
-_PROBE_STEP = 1e-5
-
-
-def numeric_curvature_probe(system: PlanarSystem, px: float,
-                            py: float) -> float:
-    """Curvature at a point by central differences on the divergence form.
-
-    Independent of the rational expansion: only the metric entries and their
-    first derivatives are taken symbolically; the outer derivatives of
-    d(g22)/dx / sqrt(W) and d(g11)/dy / sqrt(W) are numeric, with step 1e-5.
-    Used to cross-check the exact formula, not for production values.
-    """
-    a, b = system.varnames
-    metric = metric_components(system)
-    det, g11, g22 = metric.det, metric.g11, metric.g22
-    if det.is_zero():
-        raise DegenerateMetricError("metric determinant is identically zero")
-    g22_a = g22.partial(a)
-    g11_b = g11.partial(b)
-
-    def as_float(poly: Poly2, fx: float, fy: float) -> float:
-        n, d = poly.content.numerator, poly.content.denominator
-        total = 0.0
-        for (i, j), c in poly.ints.items():
-            total += n * c / d * fx**i * fy**j
-        return total
-
-    def ratio_x(fx: float, fy: float) -> float:
-        w = as_float(det, fx, fy)
-        if w <= 0:
-            raise ValueError(
-                f"metric determinant is not positive at ({fx}, {fy})")
-        return as_float(g22_a, fx, fy) / math.sqrt(w)
-
-    def ratio_y(fx: float, fy: float) -> float:
-        w = as_float(det, fx, fy)
-        if w <= 0:
-            raise ValueError(
-                f"metric determinant is not positive at ({fx}, {fy})")
-        return as_float(g11_b, fx, fy) / math.sqrt(w)
-
-    w0 = as_float(det, px, py)
-    if w0 <= 0:
-        raise ValueError(f"metric determinant is not positive at ({px}, {py})")
-    step = _PROBE_STEP
-    div = ((ratio_x(px + step, py) - ratio_x(px - step, py)) / (2 * step)
-           + (ratio_y(px, py + step) - ratio_y(px, py - step)) / (2 * step))
-    return div / math.sqrt(w0)

@@ -17,17 +17,18 @@ k >= 2, so the excess first found at k = 35 holds at every larger k: the
 threshold is certified in closed form, with no walk beyond it.  The module
 also finds where the logarithmic lower envelope (n+2)^2 * log2(n+2) / 2
 overtakes an arbitrary quadratic for good, and certifies that point: the
-envelope minus the quadratic is concave and then convex, so a few mpmath.iv
-interval enclosures of it and its first two derivatives prove the sign at
-every integer, with no walk over n.
+envelope minus the quadratic is concave and then convex, so a few rational
+enclosures of it and its first two derivatives prove the sign at every
+integer, with no walk over n.  They rest on an integer log2 enclosure (two
+fixed-point squaring chains, one rounded down and one up) and the series
+ln 2 = sum 1/(k 2^k), in Python ints and Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from functools import lru_cache
 
 __all__ = [
     "GrowthRow",
@@ -105,25 +106,166 @@ class _Undecided(Exception):
     """An enclosure straddled 0, or an integer outgrew the working precision."""
 
 
-def _h(ctx, a: Fraction, b: Fraction, c: Fraction, n: int, order: int):
-    """The order-th derivative (0, 1 or 2) of h at the integer n >= 0.
+def _grid(bits: int) -> int:
+    """Fraction bits of the fixed-point grid used at a working precision:
+    bits, plus guard bits that absorb one rounding per bit."""
+    return bits + bits.bit_length() + 2
 
-    h(x) = (x+2)^2 log2(x+2)/2 - (a x^2 + b x + c).  ctx is mpmath.mp for an
-    estimate or mpmath.iv for a rigorous enclosure; the quadratic's part is
-    exact in rationals and rounded once.
+
+def _log2_bounds(u: int, bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= log2(u) <= hi for an integer u >= 1, with hi - lo <= 3 / 2^bits.
+
+    Write u = 2^e m with m in [1, 2).  Squaring m, and halving whenever the
+    square reaches 2, emits the binary digits of log2 m: after k squarings
+    log2 m = D / 2^k + log2(x) / 2^k, where D collects the halvings and x is
+    the remainder.  Two fixed-point chains run this bits times, one rounding
+    every square down and one up.  Rounding down only shrinks what the later
+    digits add, and that remainder stays >= 1, so the first chain's
+    D / 2^bits is a lower bound.  Rounding up only grows it, and that
+    remainder stays <= 2 (a square of exactly 4 counts as two halvings), so
+    the second chain's (D + 1) / 2^bits is an upper bound.  Step i rounds at
+    2^-(w-i), an error weighted 2^-i in log2 m, so each step costs about
+    2^-w, and the guard bits of w keep the sum below 2^-bits.
     """
-    u = ctx.mpf(n + 2)
-    log2u = ctx.log(u) / ctx.ln2
-    if order == 0:
-        envelope, poly = u * u * log2u / 2, a * n * n + b * n + c
-    elif order == 1:
-        envelope, poly = u * (log2u + 1 / (2 * ctx.ln2)), 2 * a * n + b
+    e = u.bit_length() - 1
+    w = _grid(bits)
+    if e <= w:
+        lo = hi = u << (w - e)
     else:
-        envelope, poly = log2u + 3 / (2 * ctx.ln2), 2 * a
-    return envelope - ctx.mpf(poly.numerator) / poly.denominator
+        lo = u >> (e - w)
+        hi = -(-u >> (e - w))
+    d_lo = d_hi = 0
+    # a chain holds x * 2^p in p + 1 bits; its square has 2p + 1 bits, or
+    # one more when it reaches 2, and that extra bit is the digit
+    for p in range(w, w - bits, -1):
+        square = lo * lo
+        size = square.bit_length()
+        lo = square >> (size - p)
+        d_lo = 2 * d_lo + size - 2 * p - 1
+        square = hi * hi
+        size = square.bit_length()
+        hi = -(-square >> (size - p))
+        d_hi = 2 * d_hi + size - 2 * p - 1
+    return (Fraction((e << bits) + d_lo, 1 << bits),
+            Fraction((e << bits) + d_hi + 1, 1 << bits))
 
 
-def _positive(a: Fraction, b: Fraction, c: Fraction, n: int, order: int) -> bool:
+@lru_cache(maxsize=None)
+def _half_inv_ln2_bounds(bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= 1 / (2 ln 2) <= hi, both on the grid 2^-_grid(bits).
+
+    ln 2 is the sum over k >= 1 of 1 / (k 2^k), and the tail after the first
+    w terms is below 1 / ((w + 1) 2^w).  Each of the w terms is rounded down
+    to the grid 2^-w, so ln 2 lies in [S, S + w + 1] / 2^w for their sum S.
+    """
+    w = _grid(bits)
+    total = sum((1 << (w - k)) // k for k in range(1, w + 1))
+    return (Fraction((1 << 2 * w) // (2 * (total + w + 1)), 1 << w),
+            Fraction(-(-(1 << 2 * w) // (2 * total)), 1 << w))
+
+
+def _on_grid(value: Fraction, w: int) -> int:
+    """The numerator of a dyadic value over 2^w (its denominator divides 2^w)."""
+    return value.numerator * ((1 << w) // value.denominator)
+
+
+def _precisions(bits: int) -> list[int]:
+    """Precisions a Newton search climbs through, coarse to fine, ending at
+    bits and starting at or below _DEFAULT_BITS.  Each is a quarter of the
+    next one's grid, so a few bits over a quarter of the next: the search
+    leaves a precision good to about that many bits, which puts its steps
+    at the next one within reach of _Envelope's series around one chain."""
+    levels = [bits]
+    while levels[-1] > _DEFAULT_BITS:
+        levels.append(_grid(levels[-1]) // 4)
+    return levels[::-1]
+
+
+class _Envelope:
+    """Enclosures of h(x) = (x+2)^2 log2(x+2)/2 - (a x^2 + b x + c) and of
+    its derivatives at the integers, at any working precision.
+
+    Enclosures are held as numerators over 2^w, w = _grid(bits).  Each
+    log2(u) comes from _log2_bounds, unless a chain at the same precision
+    ran at some v with |u - v| <= v / 2^(bits/4 + 1).  Then
+    log2 u = log2 v + ln(1 + t) / ln 2 with t = (u - v) / v, and for
+    |t| <= 1/2 the series ln(1 + t) = t - t^2/2 + t^3/3 - ... leaves at
+    most t^4/2 after its third term.  That enclosure is used only when it
+    is no wider than 3 / 2^bits, the chains' own bound.  A Newton search's
+    steps at the working precision and the certified tests around its
+    answer all lie that close to the point of its first chain there.
+    """
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction) -> None:
+        self.a, self.b, self.c = a, b, c
+        self._logs: dict[tuple[int, int], tuple[int, int]] = {}
+        self._chained: dict[int, list[int]] = {}
+
+    def _log2(self, u: int, bits: int) -> tuple[int, int]:
+        """Numerators over 2^_grid(bits) enclosing log2(u)."""
+        found = self._logs.get((u, bits))
+        if found is not None:
+            return found
+        w = _grid(bits)
+        k_lo, k_hi = (_on_grid(k, w) for k in _half_inv_ln2_bounds(bits))
+        for v in self._chained.setdefault(bits, []):
+            if abs(u - v) << (bits // 4 + 1) > v:
+                continue
+            # t lies in [s, s + 1] / 2^w; cubic is 6 * 2^(3w) times
+            # x - x^2/2 + x^3/3 at x = s / 2^w
+            s = ((u - v) << w) // v
+            cubic = ((6 * s << w) - 3 * s * s << w) + 2 * s ** 3
+            # the series leaves at most x^4 / 2 after the cubic, and
+            # ln(1 + x) grows by at most 2 / 2^w across [s, s + 1] / 2^w
+            rest = -(-(abs(s) + 1) ** 4 >> 3 * w + 1)
+            ln_lo = (cubic >> 2 * w) // 6 - rest
+            ln_hi = -((-cubic >> 2 * w) // 6) + rest + 2
+            # 1 / ln 2 lies in [2 k_lo, 2 k_hi]
+            v_lo, v_hi = self._logs[(v, bits)]
+            lo = v_lo + (2 * ln_lo * (k_hi if ln_lo < 0 else k_lo) >> w)
+            hi = v_hi - (-2 * ln_hi * (k_lo if ln_hi < 0 else k_hi) >> w)
+            if hi - lo <= 3 << (w - bits):
+                self._logs[(u, bits)] = lo, hi
+                return lo, hi
+        found = tuple(_on_grid(bound, w) for bound in _log2_bounds(u, bits))
+        self._logs[(u, bits)] = found
+        self._chained[bits].append(u)
+        return found
+
+    def _numerators(self, n: int, order: int, bits: int) -> tuple[int, int, int]:
+        """lo, hi and den > 0 with h^(order)(n) in [lo, hi] / den."""
+        u = n + 2
+        w = _grid(bits)
+        k_lo, k_hi = (_on_grid(k, w) for k in _half_inv_ln2_bounds(bits))
+        if order == 3:
+            # h'''(x) = 1 / ((x+2) ln 2)
+            return 2 * k_lo, 2 * k_hi, u << w
+        l_lo, l_hi = self._log2(u, bits)
+        a, b, c = self.a, self.b, self.c
+        if order == 0:
+            lo, hi, shift = u * u * l_lo, u * u * l_hi, w + 1
+            poly = a * n * n + b * n + c
+        elif order == 1:
+            lo, hi, shift = u * (l_lo + k_lo), u * (l_hi + k_hi), w
+            poly = 2 * a * n + b
+        else:
+            lo, hi, shift = l_lo + 3 * k_lo, l_hi + 3 * k_hi, w
+            poly = 2 * a
+        p, q = poly.numerator << shift, poly.denominator
+        return lo * q - p, hi * q - p, q << shift
+
+    def enclose(self, n: int, order: int, bits: int) -> tuple[Fraction, Fraction]:
+        """lo <= h^(order)(n) <= hi at the integer n >= 0, order 0 to 3."""
+        lo, hi, den = self._numerators(n, order, bits)
+        return Fraction(lo, den), Fraction(hi, den)
+
+    def estimate(self, n: int, order: int, bits: int) -> Fraction:
+        """The midpoint of the enclosure of h^(order)(n)."""
+        lo, hi, den = self._numerators(n, order, bits)
+        return Fraction(lo + hi, 2 * den)
+
+
+def _positive(env: _Envelope, n: int, order: int, bits: int) -> bool:
     """Certified sign test h^(order)(n) > 0.
 
     When n+2 is a power of two, h(n) is rational and may be exactly 0, which
@@ -133,11 +275,11 @@ def _positive(a: Fraction, b: Fraction, c: Fraction, n: int, order: int) -> bool
     """
     if order == 0 and (n + 2) & (n + 1) == 0:
         envelope = Fraction((n + 2) ** 2 * ((n + 2).bit_length() - 1), 2)
-        return envelope > a * n * n + b * n + c
-    value = _h(mpmath.iv, a, b, c, n, order)
-    if value.a > 0:
+        return envelope > env.a * n * n + env.b * n + env.c
+    lo, hi = env.enclose(n, order, bits)
+    if lo > 0:
         return True
-    if value.b <= 0:
+    if hi <= 0:
         return False
     raise _Undecided
 
@@ -170,36 +312,46 @@ def _first_positive(test, lo: int, guess: int) -> int:
     return good
 
 
-def _newton(a: Fraction, b: Fraction, c: Fraction, n: int, order: int, bits: int) -> int:
+def _newton(env: _Envelope, n: int, order: int, bits: int) -> int:
     """Integer Newton iterate toward a zero of h^(order), starting at n.
 
     Steps are truncated toward zero, so an iterate never passes the zero when
     the iteration approaches it monotonically: from the right on a convex
-    increasing stretch, from the left on a concave increasing one.
+    increasing stretch, from the left on a concave increasing one.  Each step
+    divides enclosure midpoints.  It starts at the coarsest of
+    _precisions(bits) and moves up one once a step falls below
+    n / 2^(precision/2), after which that precision cannot improve n, so
+    only the last steps pay for the working precision.
     """
+    levels = _precisions(bits)
+    level = 0
     for _ in range(64):
         if n.bit_length() > bits:
             raise _Undecided
-        slope = _h(mpmath.mp, a, b, c, n, order + 1)
+        precision = levels[level]
+        slope = env.estimate(n, order + 1, precision)
         if slope <= 0:
             break
-        step = int(_h(mpmath.mp, a, b, c, n, order) / slope)
-        if step == 0:
+        step = int(env.estimate(n, order, precision) / slope)
+        if step == 0 and precision == bits:
             break
         n = max(0, n - step)
+        if precision < bits and abs(step) << (precision // 2) <= n:
+            level += 1
     return n
 
 
-def _right_of_zero(a: Fraction, b: Fraction, c: Fraction, n: int, order: int, bits: int) -> int:
+def _right_of_zero(env: _Envelope, n: int, order: int, bits: int) -> int:
     """An integer >= n where h^(order) is estimated positive, by doubling."""
-    while _h(mpmath.mp, a, b, c, n, order) <= 0:
+    precision = _precisions(bits)[0]
+    while env.estimate(n, order, precision) <= 0:
         n = 2 * n + 2
         if n.bit_length() > bits:
             raise _Undecided
     return n
 
 
-def _certified_crossing(a: Fraction, b: Fraction, c: Fraction, bits: int) -> int:
+def _certified_crossing(env: _Envelope, bits: int) -> int:
     """The crossover, every sign certified at the given precision.
 
     h'' increases, so with p the first integer where h'' > 0, h is concave
@@ -214,35 +366,38 @@ def _certified_crossing(a: Fraction, b: Fraction, c: Fraction, bits: int) -> int
       positive between two points where it is positive), whose first
       element is the answer.
 
-    Each search is seeded by a Newton estimate in mpmath and settled with
-    certified tests, raising _Undecided when an enclosure straddles 0.  The
-    caller sets both mpmath contexts to the given precision.
+    Each search is seeded by a Newton estimate and settled with certified
+    tests, raising _Undecided when an enclosure straddles 0.
     """
     def test(order):
-        return lambda n: _positive(a, b, c, n, order)
+        return lambda n: _positive(env, n, order, bits)
 
-    # h''(x) = 0 at x = 2^(2a) e^(-3/2) - 2
-    two_a = 2 * mpmath.mpf(a.numerator) / a.denominator
-    inflection = mpmath.power(2, two_a) * mpmath.exp(-1.5) - 2
-    if mpmath.mag(inflection) > bits:
+    # h''(x) = 0 where log2(x+2) = 2a - 3 / (2 ln 2); Newton on h'' starts
+    # at the power of two below that point
+    k_lo, k_hi = _half_inv_ln2_bounds(bits)
+    exponent = 2 * env.a - 3 * (k_lo + k_hi) / 2
+    if exponent >= bits:
         raise _Undecided
-    p = _first_positive(test(2), 0, int(mpmath.floor(inflection)) + 1)
+    guess = 0
+    if exponent >= 1:
+        guess = _newton(env, (1 << int(exponent)) - 2, 2, bits) + 1
+    p = _first_positive(test(2), 0, guess)
 
     q = p
-    if not _positive(a, b, c, p, 1):
-        start = _right_of_zero(a, b, c, p, 1, bits)
-        q = _first_positive(test(1), p, _newton(a, b, c, start, 1, bits))
-    if not _positive(a, b, c, q, 0):
-        start = _right_of_zero(a, b, c, q, 0, bits)
-        return _first_positive(test(0), q, _newton(a, b, c, start, 0, bits))
-    if q > p and not _positive(a, b, c, q - 1, 0):
+    if not _positive(env, p, 1, bits):
+        start = _right_of_zero(env, p, 1, bits)
+        q = _first_positive(test(1), p, _newton(env, start, 1, bits))
+    if not _positive(env, q, 0, bits):
+        start = _right_of_zero(env, q, 0, bits)
+        return _first_positive(test(0), q, _newton(env, start, 0, bits))
+    if q > p and not _positive(env, q - 1, 0, bits):
         return q
 
-    if p == 0 or not _positive(a, b, c, p - 1, 0):
+    if p == 0 or not _positive(env, p - 1, 0, bits):
         return p
-    if _positive(a, b, c, 0, 0):
+    if _positive(env, 0, 0, bits):
         return 0
-    return _first_positive(test(0), 0, _newton(a, b, c, 0, 0, bits))
+    return _first_positive(test(0), 0, _newton(env, 0, 0, bits))
 
 
 def log_bound_crossover(a, b, c) -> int:
@@ -254,8 +409,9 @@ def log_bound_crossover(a, b, c) -> int:
     dominates from the start.  The answer is certified: the difference
     h(x) = envelope - quadratic is concave and then convex, and the signs
     of h, h' and h'' that pin the last integer with h <= 0 are proved with
-    mpmath.iv interval enclosures (h is evaluated exactly where n+2 is a
-    power of two, the only places it can vanish).  An enclosure that
+    rational enclosures built on an integer log2 enclosure, two fixed-point
+    squaring chains rounded down and up (h is evaluated exactly where n+2
+    is a power of two, the only places it can vanish).  An enclosure that
     straddles 0 doubles the precision, which starts at 80 bits; past 1280
     bits ArithmeticError is raised.  Since the precision escalates until
     every sign is decided, the starting value never changes the answer.
@@ -263,20 +419,15 @@ def log_bound_crossover(a, b, c) -> int:
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a < 0:
         raise ValueError("quadratic coefficient must be nonnegative, got %s" % a)
+    env = _Envelope(a, b, c)
     current = _DEFAULT_BITS
-    saved = mpmath.iv.prec
-    try:
-        while True:
-            mpmath.iv.prec = current
-            try:
-                with mpmath.workprec(current):
-                    return _certified_crossing(a, b, c, current)
-            except _Undecided:
-                if current >= _MAX_BITS:
-                    break
-                current = min(2 * current, _MAX_BITS)
-    finally:
-        mpmath.iv.prec = saved
+    while True:
+        try:
+            return _certified_crossing(env, current)
+        except _Undecided:
+            if current >= _MAX_BITS:
+                break
+            current = min(2 * current, _MAX_BITS)
     raise ArithmeticError(
         "crossover for %s*n^2 + %s*n + %s could not be certified below %d bits"
         % (a, b, c, _MAX_BITS)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from cclab import dynamics
 from cclab.analysis import analyze
 from cclab.catalogue import load_catalogue, load_references
-from cclab.curvature import VALUE, numeric_curvature_probe, scalar_curvature
+from cclab.curvature import VALUE, scalar_curvature
 from cclab.dynamics import (
     STABLE,
     TWO_PI,
@@ -35,6 +35,7 @@ from cclab.singularity import (
     singular_locus,
 )
 from cclab.systems import transform_system
+from test_curvature import numeric_curvature_probe
 
 XY = ("x", "y")
 

@@ -1,6 +1,9 @@
 """The public API surface and the package's import boundary."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ import cclab
 PACKAGE_DIR = Path(cclab.__file__).parent
 # numerical and symbolic libraries stay test and scratch tools: every
 # certificate the package prints rests on its own exact kernels
-FORBIDDEN_IMPORTS = {"numpy", "sympy", "scipy"}
+FORBIDDEN_IMPORTS = {"numpy", "sympy", "scipy", "mpmath"}
 
 
 def test_every_public_name_resolves():
@@ -40,3 +43,16 @@ def test_import_check_sees_every_form():
     tree = ast.parse("import numpy as np\nfrom scipy.linalg import solve\n"
                      "import os.path\nfrom . import sympy\n")
     assert imported_roots(tree) == {"numpy", "scipy", "os"}
+
+
+def test_crossover_runs_without_mpmath():
+    """A None entry in sys.modules makes every import of mpmath fail."""
+    script = ("import sys\n"
+              "sys.modules['mpmath'] = None\n"
+              "import cclab.cli\n"
+              "sys.exit(cclab.cli.main(['hilbert', '--crossover', '10', '0', '0']))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "crossover n = 1048519" in done.stdout.splitlines()

@@ -1,5 +1,6 @@
 """Curvature rationalization: frozen values, identities, and the numeric probe."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from cclab.curvature import (
     PointValue,
     RationalFunction,
     metric_components,
-    numeric_curvature_probe,
     scalar_curvature,
 )
 from cclab.parsing import parse_expression, parse_system
@@ -117,6 +117,57 @@ def test_degenerate_metric_rejected():
         scalar_curvature(flat)
     with pytest.raises(DegenerateMetricError):
         numeric_curvature_probe(flat, 0.5, 0.5)
+
+
+# Central-difference step of numeric_curvature_probe.
+_PROBE_STEP = 1e-5
+
+
+def numeric_curvature_probe(system: PlanarSystem, px: float,
+                            py: float) -> float:
+    """Curvature at a point by central differences on the divergence form.
+
+    Independent of the rational expansion: only the metric entries and their
+    first derivatives are taken symbolically; the outer derivatives of
+    d(g22)/dx / sqrt(W) and d(g11)/dy / sqrt(W) are numeric, with step 1e-5.
+    The finite-difference reference the exact formula is checked against.
+    """
+    a, b = system.varnames
+    metric = metric_components(system)
+    det, g11, g22 = metric.det, metric.g11, metric.g22
+    if det.is_zero():
+        raise DegenerateMetricError("metric determinant is identically zero")
+    g22_a = g22.partial(a)
+    g11_b = g11.partial(b)
+
+    def as_float(poly: Poly2, fx: float, fy: float) -> float:
+        n, d = poly.content.numerator, poly.content.denominator
+        total = 0.0
+        for (i, j), c in poly.ints.items():
+            total += n * c / d * fx**i * fy**j
+        return total
+
+    def ratio_x(fx: float, fy: float) -> float:
+        w = as_float(det, fx, fy)
+        if w <= 0:
+            raise ValueError(
+                f"metric determinant is not positive at ({fx}, {fy})")
+        return as_float(g22_a, fx, fy) / math.sqrt(w)
+
+    def ratio_y(fx: float, fy: float) -> float:
+        w = as_float(det, fx, fy)
+        if w <= 0:
+            raise ValueError(
+                f"metric determinant is not positive at ({fx}, {fy})")
+        return as_float(g11_b, fx, fy) / math.sqrt(w)
+
+    w0 = as_float(det, px, py)
+    if w0 <= 0:
+        raise ValueError(f"metric determinant is not positive at ({px}, {py})")
+    step = _PROBE_STEP
+    div = ((ratio_x(px + step, py) - ratio_x(px - step, py)) / (2 * step)
+           + (ratio_y(px, py + step) - ratio_y(px, py - step)) / (2 * step))
+    return div / math.sqrt(w0)
 
 
 def probe_agreement_points(data, system, count, rng):

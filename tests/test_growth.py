@@ -1,5 +1,6 @@
 """Big-integer growth comparison and the log-envelope crossover."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -160,6 +161,23 @@ def test_crossover_goldens():
     assert log_bound_crossover(10, 0, 0) == 1048519
 
 
+def test_crossover_large_coefficient_goldens():
+    assert log_bound_crossover(20, 0, 0) == 1099511627664
+    assert log_bound_crossover(100, 0, 0) == (
+        1606938044258990275541962092341162602522202993782792835300820)
+
+
+def test_crossover_near_the_precision_cap_checked_at_6000_bits():
+    """A crossing near 2^1200, certified at 1280 bits."""
+    def h(n: int):
+        with mp.workprec(6000):
+            m = mp.mpf(n + 2)
+            return m * m * mp.log(m, 2) / 2 - 600 * n * n
+
+    n_star = log_bound_crossover(600, 0, 0)
+    assert h(n_star - 1) <= 0 < h(n_star)
+
+
 def test_crossover_accepts_rationals():
     assert log_bound_crossover(8, Fraction(-20), 12) == 65462
 
@@ -235,7 +253,7 @@ def test_crossover_escalates_from_a_low_starting_precision(monkeypatch):
 
 def test_crossover_out_of_reach_raises():
     """The crossing near 2^2000 cannot be resolved below 1280 bits."""
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="could not be certified below 1280 bits"):
         log_bound_crossover(1000, 0, 0)
 
 
@@ -251,3 +269,61 @@ def test_crossover_boundary_with_independent_precision_shifted_quadratic():
     assert h(n_star - 1) <= 0
     for n in (n_star + 1, n_star + 100, 10 ** 6):
         assert h(n) > 0
+
+
+# --- the integer enclosures behind the crossover ----------------------------------
+
+
+def _reference_bits(bits: int) -> int:
+    """mpmath precision for checking an enclosure that is a few 2^-bits wide."""
+    return max(400, bits + 128)
+
+
+def _mpf(value: Fraction):
+    return mp.mpf(value.numerator) / value.denominator
+
+
+def _log2_cases():
+    rng = random.Random(20261022)
+    cases = [1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025, 2 ** 64 - 1, 2 ** 64,
+             2 ** 64 + 1, 10 ** 12 - 1]
+    cases += [rng.randrange(1, 10 ** 12) for _ in range(40)]
+    cases += [2 ** 1200 + k for k in (-3, -1, 0, 1, 3)]
+    cases += [2 ** 1200 - 2 ** 600, 3 ** 757, rng.getrandbits(1200) | 2 ** 1199]
+    return cases
+
+
+@pytest.mark.parametrize("bits", [16, 80, 1280])
+def test_log2_enclosure_contains_log2_and_is_narrow(bits):
+    for u in _log2_cases():
+        lo, hi = growth._log2_bounds(u, bits)
+        assert (hi - lo) * 2 ** bits <= 3, (u, bits)
+        with mp.workprec(_reference_bits(bits)):
+            assert _mpf(lo) <= mp.log(u, 2) <= _mpf(hi), (u, bits)
+
+
+@pytest.mark.parametrize("bits", [16, 80, 1280])
+def test_half_inv_ln2_enclosure_contains_the_constant(bits):
+    lo, hi = growth._half_inv_ln2_bounds(bits)
+    assert (hi - lo) * 2 ** bits <= 1
+    with mp.workprec(_reference_bits(bits)):
+        assert _mpf(lo) <= 1 / (2 * mp.log(2)) <= _mpf(hi)
+
+
+@pytest.mark.parametrize("bits", [80, 1280])
+def test_log2_derived_from_a_near_chain_contains_log2(bits):
+    """Enclosures the envelope takes from a chain at a nearby point, instead
+    of running the chains again, hold log2 and are no wider than a chain's."""
+    envelope = growth._Envelope(Fraction(0), Fraction(0), Fraction(0))
+    w = growth._grid(bits)
+    v = 3 ** 757 if bits > 1200 else 3 ** 40
+    envelope._log2(v, bits)
+    gap = v >> (bits // 4 + 1)
+    derived = 0
+    for u in (v - 1, v + 1, v - 12345, v + gap // 3, v - gap // 7, v - gap, v + gap):
+        lo, hi = envelope._log2(u, bits)
+        derived += u not in envelope._chained[bits]
+        assert hi - lo <= 3 << (w - bits), u
+        with mp.workprec(_reference_bits(bits)):
+            assert mp.mpf(lo) / 2 ** w <= mp.log(u, 2) <= mp.mpf(hi) / 2 ** w, u
+    assert derived >= 3

@@ -326,9 +326,10 @@ def _reference_isolate(p, rationals, region=(None, None)):
     found = []
     _reference_bisect_region(chain, sqf, lo, hi, total, found)
     refined = [_reference_refine(sqf, iv, DEFAULT_WIDTH) for iv in found]
-    # no interval ends on a root, so one holding a rational root isolates it
+    # an interval holds the roots in (lo, hi], and only its lo can be a root
+    # (the region's open end), so one holding a rational root isolates it
     refined = [next((RootInterval(r, r, exact=r) for r in rationals
-                     if iv.exact is None and iv.lo <= r <= iv.hi), iv)
+                     if iv.exact is None and iv.lo < r <= iv.hi), iv)
                for iv in refined]
     return tuple(sorted(refined, key=lambda iv: (iv.lo, iv.hi)))
 
